@@ -108,7 +108,7 @@ def run_learning(
     learned_states = 0
     verified = False
     try:
-        learned = learn(teacher, partitioner, LearnerConfig(mode=learner_mode, seed=spec.seed))
+        learned = learn(teacher, partitioner, LearnerConfig(mode=learner_mode))
         learned_states = learned.n_states
         if verify:
             verified = hk_equiv(learned, quotient(target, partitioner), partitioner) is None

@@ -76,7 +76,7 @@ def cmd_learn(args):
             pdfa = materialize_compose(pdfa, fileio.load_guide(args.guide), strategy)
         teacher, mode = bench.teacher_for_mode(pdfa, partitioner, args.mode)
         t0 = time.perf_counter()
-        learned = learn(teacher, partitioner, LearnerConfig(mode=mode, seed=args.seed))
+        learned = learn(teacher, partitioner, LearnerConfig(mode=mode))
         wall_ms = (time.perf_counter() - t0) * 1000
         from .equivcheck import hk_equiv
 
@@ -101,9 +101,7 @@ def cmd_learn(args):
         params = PacParams(epsilon=args.epsilon, delta=args.delta, max_len=args.max_len)
         teacher = pac_teacher(model, partitioner, params, seed=args.seed)
         t0 = time.perf_counter()
-        learned = learn(
-            teacher, partitioner, LearnerConfig(mode=LearnerMode.OMIT_ZERO, seed=args.seed)
-        )
+        learned = learn(teacher, partitioner, LearnerConfig(mode=LearnerMode.OMIT_ZERO))
         record = bench.BenchRecord(
             n=learned.n_states,
             m=learned.alphabet.size,

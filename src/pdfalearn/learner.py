@@ -11,6 +11,7 @@ all undefined strings into one reserved leaf that yields no state.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -37,26 +38,37 @@ class LearnerConfig:
     max_query_len: Optional[int] = None
     max_queries: Optional[int] = None
     max_iterations: int = 100_000
-    seed: int = 0
     monitor: Optional["LearnerMonitor"] = None
 
 
 class _Leaf:
-    __slots__ = ("string", "dist", "parent")
+    """An access string's class.
 
-    def __init__(self, string: String, dist: Optional[Distribution], parent=None):
+    `sifted` lists the strings whose last sift ended here. `row` holds the
+    hypothesis transitions out of a defined leaf once `build` has computed
+    them: per symbol the target leaf, None outside the scope, or the inner
+    node that replaced a target split since, where that sift resumes.
+    """
+
+    __slots__ = ("string", "dist", "parent", "depth", "sifted", "row")
+
+    def __init__(self, string: String, dist: Optional[Distribution], parent, depth: int):
         self.string = string
         self.dist = dist
         self.parent = parent
+        self.depth = depth
+        self.sifted: list[String] = []
+        self.row: Optional[list] = None
 
 
 class _Inner:
-    __slots__ = ("string", "arcs", "parent")
+    __slots__ = ("string", "arcs", "parent", "depth")
 
-    def __init__(self, string: String, parent=None):
+    def __init__(self, string: String, parent, depth: int):
         self.string = string
         self.arcs: dict[ClassId, object] = {}
         self.parent = parent
+        self.depth = depth
 
 
 class ClassificationTree:
@@ -64,34 +76,68 @@ class ClassificationTree:
 
     Arcs out of an inner node w are keyed by the class of MQ(v·w); the
     reserved ZERO key groups strings whose extension by w is undefined.
+
+    The tree changes in two ways only: an arc is added to an inner node, or
+    a leaf is replaced by an inner node (`split`). Neither changes the path
+    above an existing node, so a string once sifted resumes where its last
+    sift ended, or at the inner node that replaced that leaf.
     """
 
     def __init__(self, partitioner: Partitioner):
         self.partitioner = partitioner
-        self.root = _Inner(())
+        self.root = _Inner((), None, 0)
         self.leaves: dict[String, _Leaf] = {}
+        self.resume: dict[String, object] = {}
+        self._depth = 0
 
     def add_leaf(self, parent: _Inner, key: ClassId, string: String, dist) -> _Leaf:
         if key in parent.arcs:
             raise ValueError("arc key already present")
-        leaf = _Leaf(string, dist, parent)
+        leaf = _Leaf(string, dist, parent, parent.depth + 1)
         parent.arcs[key] = leaf
         self.leaves[string] = leaf
+        self._depth = max(self._depth, leaf.depth)
         return leaf
+
+    def split(
+        self, leaf: _Leaf, dis: String, key_old: ClassId, string: String, key_new: ClassId, dist
+    ) -> _Leaf:
+        """Replace `leaf` by an inner node `dis` over it and a new leaf for `string`.
+
+        Strings whose sift ended at `leaf` now resume at the new inner node,
+        and so do the transitions that targeted it.
+        """
+        parent = leaf.parent
+        arc_key = next(k for k, child in parent.arcs.items() if child is leaf)
+        inner = _Inner(dis, parent, leaf.depth)
+        parent.arcs[arc_key] = inner
+        leaf.parent = inner
+        leaf.depth += 1
+        inner.arcs[key_old] = leaf
+        new_leaf = self.add_leaf(inner, key_new, string, dist)
+        for v in leaf.sifted:
+            self.resume[v] = inner
+            source = self.leaves.get(v[:-1]) if v else None
+            if source is not None and source.row is not None and source.row[v[-1]] is leaf:
+                source.row[v[-1]] = inner
+        leaf.sifted = []
+        return new_leaf
+
+    def record(self, v: String, leaf: _Leaf) -> None:
+        """Note that the sift of v ended at `leaf`."""
+        if self.resume.get(v) is not leaf:
+            self.resume[v] = leaf
+            leaf.sifted.append(v)
 
     def defined_leaves(self) -> list[_Leaf]:
         return sorted(
             (l for l in self.leaves.values() if l.dist is not None),
-            key=lambda l: (len(l.string), l.string),
+            key=_order,
         )
 
     def depth(self) -> int:
-        def walk_down(node, d):
-            if isinstance(node, _Leaf):
-                return d
-            return max((walk_down(c, d + 1) for c in node.arcs.values()), default=d)
-
-        return walk_down(self.root, 0)
+        """Length of the longest root-to-leaf path, kept up to date on insertion."""
+        return self._depth
 
     def lca(self, u: String, v: String) -> _Inner:
         ancestors = set()
@@ -108,6 +154,10 @@ class ClassificationTree:
 
     def access_strings(self) -> list[String]:
         return [l.string for l in self.defined_leaves()]
+
+
+def _order(leaf: _Leaf):
+    return len(leaf.string), leaf.string
 
 
 @dataclass
@@ -205,10 +255,14 @@ def sift(
 ) -> tuple[_Leaf, bool]:
     """Classify v to a leaf, adding one when its class is new.
 
-    Returns (leaf, grew). The tree's degree may grow; its depth never does.
+    Returns (leaf, grew). The walk starts where v's last sift ended (the
+    leaf itself, or the inner node that split it) and at the root only for
+    a string never sifted: the nodes above that point have not changed, so
+    walking them again would repeat cached queries. The tree's degree may
+    grow; its depth never does.
     """
     depth_before = tree.depth() if monitor else 0
-    node = tree.root
+    node = tree.resume.get(v, tree.root)
     while isinstance(node, _Inner):
         key = _extension_key(mq, tree.partitioner, mode, v, node.string)
         if key is ZERO_CLASS and node is tree.root and mode is LearnerMode.OMIT_ZERO:
@@ -218,11 +272,13 @@ def sift(
         child = node.arcs.get(key)
         if child is None:
             leaf = tree.add_leaf(node, key, v, mq(v))
+            tree.record(v, leaf)
             if monitor:
                 monitor.sift_depth(depth_before, tree.depth())
                 monitor.tree_changed(tree, mode)
             return leaf, True
         node = child
+    tree.record(v, node)
     if monitor:
         monitor.sift_depth(depth_before, tree.depth())
     return node, False
@@ -237,37 +293,37 @@ def build(
 ) -> tuple[Pdfa, list[String]]:
     """Construct the hypothesis for the current tree.
 
-    Transition targets come from sifting each (leaf, symbol) extension.
-    Whenever a sift adds a leaf, the pass restarts on the grown tree; the
-    number of restarts is bounded by the number of distribution classes.
+    Transition targets come from sifting each (leaf, symbol) extension and
+    stay in the leaves' rows across rounds. One pass over the leaves in
+    (length, string) order sifts the rows of leaves new since the last pass
+    and the transitions whose target was split since; every other target
+    is known without a query. A leaf that a sift discovers sorts after the
+    leaf being filled, so the same pass fills its row in turn. Queries thus
+    come in the order of sifting every pair afresh until no leaf appears.
+    State indices follow the final leaf order.
     """
     m = alphabet.size
-    while True:
-        leaves = tree.defined_leaves()
-        index = {l.string: i for i, l in enumerate(leaves)}
-        rows: list[list[Optional[int]]] = []
-        grew = False
-        for leaf in leaves:
-            scope = (
-                sorted(leaf.dist.support())
-                if mode is LearnerMode.OMIT_ZERO
-                else range(m)
-            )
-            row: list[Optional[int]] = [None] * m
-            for s in scope:
-                target, g = sift(tree, mq, leaf.string + (s,), mode, monitor)
-                if g:
-                    grew = True
-                    break
-                row[s] = index[target.string] if target.dist is not None else None
-            if grew:
-                break
-            rows.append(row)
-        if grew:
-            continue
-        dists = tuple(l.dist for l in leaves)
-        pdfa = Pdfa(alphabet, dists, tuple(tuple(r) for r in rows), index[()])
-        return pdfa, [l.string for l in leaves]
+    leaves = tree.defined_leaves()
+    i = 0
+    while i < len(leaves):
+        leaf = leaves[i]
+        i += 1
+        if leaf.row is None:
+            row = [None] * m
+            scope = sorted(leaf.dist.support()) if mode is LearnerMode.OMIT_ZERO else range(m)
+        else:
+            row = leaf.row
+            scope = [s for s, target in enumerate(row) if isinstance(target, _Inner)]
+        for s in scope:
+            target, grew = sift(tree, mq, leaf.string + (s,), mode, monitor)
+            row[s] = target
+            if grew and target.dist is not None:
+                insort(leaves, target, key=_order)
+        leaf.row = row
+    index = {leaf: q for q, leaf in enumerate(leaves)}
+    rows = tuple(tuple(map(index.get, leaf.row)) for leaf in leaves)
+    pdfa = Pdfa(alphabet, tuple(l.dist for l in leaves), rows, index[tree.leaves[()]])
+    return pdfa, [l.string for l in leaves]
 
 
 def initialize_tree(
@@ -312,7 +368,9 @@ def update(
     Either a sift during the analysis discovers a fresh class (the tree
     already grew, the stale counterexample is dropped), or the first index
     where the tree's view of the prefix diverges from the hypothesis walk
-    splits a leaf with a new distinguishing string.
+    splits a leaf with a new distinguishing string. The split leaves every
+    string sifted to that leaf, and every transition into it, to resume at
+    the new inner node: the next `build` sifts exactly those transitions.
     """
     gamma = tuple(gamma)
     partitioner = tree.partitioner
@@ -345,21 +403,11 @@ def update(
     new_string = gamma[: j - 1]
     if new_string in tree.leaves:
         raise NotACounterexampleError("divergence point is already an access string")
-    split_leaf = prev_leaf
-    key_old = _extension_key(mq, partitioner, mode, split_leaf.string, new_dis)
+    key_old = _extension_key(mq, partitioner, mode, prev_leaf.string, new_dis)
     key_new = _extension_key(mq, partitioner, mode, new_string, new_dis)
     if key_old == key_new:
         raise NotACounterexampleError("new distinguishing string fails to separate the leaves")
-
-    parent = split_leaf.parent
-    arc_key = next(k for k, child in parent.arcs.items() if child is split_leaf)
-    inner = _Inner(new_dis, parent)
-    parent.arcs[arc_key] = inner
-    split_leaf.parent = inner
-    inner.arcs[key_old] = split_leaf
-    new_leaf = _Leaf(new_string, mq(new_string), inner)
-    inner.arcs[key_new] = new_leaf
-    tree.leaves[new_string] = new_leaf
+    tree.split(prev_leaf, new_dis, key_old, new_string, key_new, mq(new_string))
     if monitor:
         monitor.tree_changed(tree, mode)
 
