@@ -114,6 +114,59 @@ class LanguageModel:
         raise NotImplementedError
 
 
+UNSET = object()  # value of a trie node whose string has not been evaluated
+
+
+class Prefix(dict):
+    """A trie node: maps each symbol to a child; `value` is UNSET until its string is evaluated."""
+
+    __slots__ = ("value",)
+
+    def __init__(self):
+        self.value = UNSET
+
+    def child(self, s) -> "Prefix":
+        node = self.get(s)
+        if node is None:
+            node = self[s] = Prefix()
+        return node
+
+    def find(self, u) -> "Prefix":
+        node = self
+        for s in u:  # child(s), inlined: every memo lookup walks this loop
+            nxt = node.get(s)
+            if nxt is None:
+                nxt = node[s] = Prefix()
+            node = nxt
+        return node
+
+
+class MemoModel(LanguageModel):
+    """Language model that asks `answer(u)` once per distinct string u.
+
+    Answers live on the trie at `root`: a caller walking it reads
+    `node.value` and calls `value` only where that is UNSET. A string whose
+    answer raised stays UNSET. `misses` counts the calls to `answer`.
+    """
+
+    def __init__(self, alphabet: Alphabet, answer):
+        self.alphabet = alphabet
+        self.answer = answer
+        self.root = Prefix()
+        self.misses = 0
+
+    def value(self, node: Prefix, u: String) -> Optional[Distribution]:
+        """The answer for u, whose trie node is `node`."""
+        if node.value is UNSET:
+            self.misses += 1
+            node.value = self.answer(u)
+        return node.value
+
+    def next(self, u: String) -> Optional[Distribution]:
+        u = tuple(u)
+        return self.value(self.root.find(u), u)
+
+
 class PdfaLanguageModel(LanguageModel):
     """Support-following view of a PDFA as a language model."""
 
@@ -456,6 +509,8 @@ class ComposedLanguageModel(LanguageModel):
     reached by u, renormalizes, and applies the sampling strategy. The
     composite is undefined at u as soon as a step of u leaves the
     composite's own (sampled) support, or the masked weights all vanish.
+    Each evaluated prefix keeps its distribution on a trie, so the inner
+    model is asked once per prefix whose steps stay in the support.
     """
 
     def __init__(self, model: LanguageModel, guide: GuideAutomaton, strategy: SamplingStrategy = None):
@@ -465,32 +520,25 @@ class ComposedLanguageModel(LanguageModel):
         self.guide = guide
         self.strategy = strategy
         self.alphabet = model.alphabet
-        self._cache: dict[String, Optional[Distribution]] = {}
-        self._gstate: dict[String, int] = {EMPTY: guide.initial}
-
-    def _eval(self, u: String) -> Optional[Distribution]:
-        if u in self._cache:
-            return self._cache[u]
-        if u:
-            parent = self._eval(u[:-1])
-            s = u[-1]
-            if parent is None or s not in parent.support():
-                self._cache[u] = None
-                return None
-            self._gstate[u] = self.guide.delta[self._gstate[u[:-1]]][s]
-        inner = self.model.next(u)
-        if inner is None:
-            # composite supports are contained in the inner model's, so a
-            # defined composite prefix cannot out-run the inner model
-            result = None
-        else:
-            masked = _masked(inner, self.guide.masks[self._gstate[u]])
-            result = None if masked is None else apply_sampling(self.strategy, masked)
-        self._cache[u] = result
-        return result
+        self._root = Prefix()
 
     def next(self, u: String) -> Optional[Distribution]:
-        return self._eval(tuple(u))
+        u = tuple(u)
+        node, g = self._root, self.guide.initial
+        for i in range(len(u) + 1):
+            if node.value is UNSET:
+                # composite supports are contained in the inner model's, so a
+                # defined composite prefix cannot out-run the inner model
+                inner = self.model.next(u[:i])
+                masked = None if inner is None else _masked(inner, self.guide.masks[g])
+                node.value = None if masked is None else apply_sampling(self.strategy, masked)
+            dist = node.value
+            if i == len(u):
+                return dist
+            s = u[i]
+            if dist is None or s not in dist.support():
+                return None
+            node, g = node.child(s), self.guide.delta[g][s]
 
 
 def compose(
@@ -553,27 +601,3 @@ def materialize_compose(
         rows.append(row)
     # a zero-probability edge may point at a state first discovered as dead
     return Pdfa(pdfa.alphabet, tuple(dists), tuple(tuple(r) for r in rows), 0)
-
-
-class SampledLanguageModel(LanguageModel):
-    """Pointwise application of a sampling strategy to another model."""
-
-    def __init__(self, model: LanguageModel, strategy: SamplingStrategy):
-        self.model = model
-        self.strategy = strategy
-        self.alphabet = model.alphabet
-        self._cache: dict[String, Optional[Distribution]] = {}
-
-    def next(self, u: String) -> Optional[Distribution]:
-        u = tuple(u)
-        if u in self._cache:
-            return self._cache[u]
-        if u:
-            parent = self.next(u[:-1])
-            if parent is None or u[-1] not in parent.support():
-                self._cache[u] = None
-                return None
-        inner = self.model.next(u)
-        result = None if inner is None else apply_sampling(self.strategy, inner)
-        self._cache[u] = result
-        return result

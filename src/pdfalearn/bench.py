@@ -129,6 +129,7 @@ def run_learning(
         learned_states=learned_states,
         wall_ms=wall_ms,
         verified=verified,
+        error=error,
     )
 
 

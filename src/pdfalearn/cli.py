@@ -251,8 +251,14 @@ def main(argv=None) -> int:
     level = os.environ.get("PDFA_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     args = build_parser().parse_args(argv)
-    if args.command == "learn" and not args.target and not args.endpoint:
-        print(json.dumps({"error": "UsageError", "detail": "need --target or --endpoint"}), file=sys.stderr)
+    usage = None
+    if args.command == "learn" and not args.target:
+        if not args.endpoint:
+            usage = "need --target or --endpoint"
+        elif args.mode != "omit-zero":
+            usage = f"--endpoint learns in omit-zero mode only, not {args.mode}"
+    if usage:
+        print(json.dumps({"error": "UsageError", "detail": usage}), file=sys.stderr)
         return 2
     try:
         return args.func(args)

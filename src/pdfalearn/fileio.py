@@ -7,10 +7,10 @@ round-trip decimals, so files reload bit-exactly.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Optional
 
 from .automata import GuideAutomaton, Pdfa
-from .errors import ParseFailureError, PdfaError
-from .pipeline import guide_from_spec, save_guide_spec
+from .errors import NondeterministicSpecError, ParseFailureError, PdfaError
 from .simplex import Alphabet, Distribution
 
 
@@ -127,6 +127,99 @@ def parse_pdfa(text: str, source: str = "<string>") -> Pdfa:
         raise
     except (ValueError, KeyError, PdfaError) as exc:
         raise ParseFailureError(f"{source}: {exc}") from exc
+
+
+def guide_from_spec(text: str) -> GuideAutomaton:
+    """Parse the guide format (see save_guide_spec) into an automaton.
+
+    Missing transitions lead to an implicit dead state with an all-zero
+    mask; duplicate (state, symbol) transitions are rejected.
+    """
+    alphabet: Optional[Alphabet] = None
+    terminal = "$"
+    n_states = None
+    initial = 0
+    allows: dict[int, list[str]] = {}
+    edges: dict[tuple[int, int], int] = {}
+    symbols: tuple[str, ...] = ()
+    current = None
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        kind = parts[0]
+        try:
+            if kind == "alphabet":
+                symbols = tuple(parts[1:])
+            elif kind == "terminal":
+                terminal = parts[1]
+            elif kind == "states":
+                n_states = int(parts[1])
+            elif kind == "initial":
+                initial = int(parts[1])
+            elif kind == "state":
+                current = int(parts[1])
+                allows.setdefault(current, [])
+            elif kind == "allow":
+                if current is None:
+                    raise ParseFailureError(f"line {lineno}: allow before any state")
+                allows[current].extend(parts[1:])
+            elif kind == "trans":
+                alphabet = alphabet or Alphabet(symbols, terminal)
+                src, name, dst = int(parts[1]), parts[2], int(parts[3])
+                key = (src, alphabet.index(name))
+                if key in edges:
+                    raise NondeterministicSpecError(
+                        f"line {lineno}: duplicate transition for state {src} symbol {name!r}"
+                    )
+                edges[key] = dst
+            else:
+                raise ParseFailureError(f"line {lineno}: unknown directive {kind!r}")
+        except (IndexError, ValueError) as exc:
+            raise ParseFailureError(f"line {lineno}: {exc}") from None
+    if not symbols or n_states is None:
+        raise ParseFailureError("guide needs `alphabet` and `states` directives")
+    alphabet = alphabet or Alphabet(symbols, terminal)
+    m = alphabet.size
+    dead = n_states  # implicit sink for unspecified transitions
+    masks = []
+    delta = []
+    for q in range(n_states):
+        mask = [0] * (m + 1)
+        for name in allows.get(q, []):
+            idx = m if name == alphabet.terminal else alphabet.index(name)
+            mask[idx] = 1
+        masks.append(tuple(mask))
+        delta.append(tuple(edges.get((q, s), dead) for s in range(m)))
+    used_dead = any(dead in row for row in delta)
+    if used_dead:
+        masks.append(tuple([0] * (m + 1)))
+        delta.append(tuple(dead for _ in range(m)))
+    return GuideAutomaton(alphabet, tuple(masks), tuple(delta), initial)
+
+
+def save_guide_spec(guide: GuideAutomaton) -> str:
+    """Serialize a guide in the format accepted by guide_from_spec."""
+    lines = [
+        "# guide v1",
+        "alphabet " + " ".join(guide.alphabet.symbols),
+        f"terminal {guide.alphabet.terminal}",
+        f"states {guide.n_states}",
+        f"initial {guide.initial}",
+    ]
+    m = guide.alphabet.size
+    for q in range(guide.n_states):
+        lines.append(f"state {q}")
+        allowed = [guide.alphabet.symbols[s] for s in range(m) if guide.masks[q][s]]
+        if guide.masks[q][m]:
+            allowed.append(guide.alphabet.terminal)
+        if allowed:
+            lines.append("allow " + " ".join(allowed))
+    for q in range(guide.n_states):
+        for s in range(m):
+            lines.append(f"trans {q} {guide.alphabet.symbols[s]} {guide.delta[q][s]}")
+    return "\n".join(lines) + "\n"
 
 
 def save_guide(guide: GuideAutomaton, path):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
-from .automata import LanguageModel, Pdfa, String, trim
+from .automata import UNSET, MemoModel, Pdfa, Prefix, String, is_defined, trim
 from .equivcheck import shortest_defined_ce_prefix
 from .errors import (
     NotACounterexampleError,
@@ -211,47 +211,42 @@ class LearnerMonitor:
             self._fail("hypothesis did not grow across an equivalence failure")
 
 
-class _MqModel(LanguageModel):
-    """Language-model view over a membership-query function."""
-
-    def __init__(self, alphabet, mq):
-        self.alphabet = alphabet
-        self._mq = mq
-
-    def next(self, u):
-        return self._mq(tuple(u))
-
-
 def _label(partitioner: Partitioner, dist: Optional[Distribution]) -> ClassId:
     return ZERO_CLASS if dist is None else partitioner.label(dist)
 
 
-def _extension_key(mq, partitioner: Partitioner, mode: LearnerMode, v: String, w: String) -> ClassId:
-    """Arc key for the extension v·w.
+def _extension_key(memo, partitioner: Partitioner, mode: LearnerMode, v: String, w: String, at) -> ClassId:
+    """Arc key for the extension v·w, where `at` is v's node in the memo's trie.
 
     The congruence assigns every undefined string to the reserved zero
     class, so in zero-omitting mode the walk along w is checked against the
     supports step by step; a teacher that answers structurally on
     zero-probability paths must not smuggle phantom evidence into the tree.
-    Baseline mode keys on the raw answer for v·w.
+    Baseline mode keys on the raw answer for v·w. The walk steps from `at`
+    through the trie and builds a string only to ask about it.
     """
-    if mode is LearnerMode.OMIT_ZERO:
-        u = v
-        for s in w:
-            dist = mq(u)
+    node = at
+    for i, s in enumerate(w):
+        if mode is LearnerMode.OMIT_ZERO:
+            dist = node.value
+            if dist is UNSET:
+                dist = memo.value(node, v + w[:i])
             if dist is None or s not in dist.support():
                 return ZERO_CLASS
-            u = u + (s,)
-        return _label(partitioner, mq(u))
-    return _label(partitioner, mq(v + w))
+        node = node.child(s)
+    dist = node.value
+    if dist is UNSET:
+        dist = memo.value(node, v + w)
+    return _label(partitioner, dist)
 
 
 def sift(
     tree: ClassificationTree,
-    mq: Callable[[String], Optional[Distribution]],
+    memo: MemoModel,
     v: String,
     mode: LearnerMode = LearnerMode.OMIT_ZERO,
     monitor: Optional[LearnerMonitor] = None,
+    at: Optional[Prefix] = None,
 ) -> tuple[_Leaf, bool]:
     """Classify v to a leaf, adding one when its class is new.
 
@@ -259,19 +254,22 @@ def sift(
     leaf itself, or the inner node that split it) and at the root only for
     a string never sifted: the nodes above that point have not changed, so
     walking them again would repeat cached queries. The tree's degree may
-    grow; its depth never does.
+    grow; its depth never does. `at` is v's node in the memo's trie, for
+    a caller that holds it.
     """
     depth_before = tree.depth() if monitor else 0
     node = tree.resume.get(v, tree.root)
+    if at is None and isinstance(node, _Inner):
+        at = memo.root.find(v)
     while isinstance(node, _Inner):
-        key = _extension_key(mq, tree.partitioner, mode, v, node.string)
+        key = _extension_key(memo, tree.partitioner, mode, v, node.string, at)
         if key is ZERO_CLASS and node is tree.root and mode is LearnerMode.OMIT_ZERO:
             raise TeacherUndefinedError(
                 f"access-string candidate {v!r} reported undefined; tree invariant broken"
             )
         child = node.arcs.get(key)
         if child is None:
-            leaf = tree.add_leaf(node, key, v, mq(v))
+            leaf = tree.add_leaf(node, key, v, memo.value(at, v))
             tree.record(v, leaf)
             if monitor:
                 monitor.sift_depth(depth_before, tree.depth())
@@ -286,7 +284,7 @@ def sift(
 
 def build(
     tree: ClassificationTree,
-    mq: Callable[[String], Optional[Distribution]],
+    memo: MemoModel,
     alphabet,
     mode: LearnerMode = LearnerMode.OMIT_ZERO,
     monitor: Optional[LearnerMonitor] = None,
@@ -314,8 +312,9 @@ def build(
         else:
             row = leaf.row
             scope = [s for s, target in enumerate(row) if isinstance(target, _Inner)]
+        at = memo.root.find(leaf.string) if scope else None
         for s in scope:
-            target, grew = sift(tree, mq, leaf.string + (s,), mode, monitor)
+            target, grew = sift(tree, memo, leaf.string + (s,), mode, monitor, at.child(s))
             row[s] = target
             if grew and target.dist is not None:
                 insort(leaves, target, key=_order)
@@ -328,7 +327,7 @@ def build(
 
 def initialize_tree(
     gamma: String,
-    mq: Callable[[String], Optional[Distribution]],
+    memo: MemoModel,
     hypothesis: Pdfa,
     partitioner: Partitioner,
     mode: LearnerMode = LearnerMode.OMIT_ZERO,
@@ -337,12 +336,10 @@ def initialize_tree(
     """First tree: root λ with leaves λ and the (possibly reduced) counterexample."""
     gamma = tuple(gamma)
     if mode is LearnerMode.OMIT_ZERO:
-        gamma = shortest_defined_ce_prefix(
-            _MqModel(hypothesis.alphabet, mq), hypothesis, partitioner, gamma
-        )
+        gamma = shortest_defined_ce_prefix(memo, hypothesis, partitioner, gamma)
     tree = ClassificationTree(partitioner)
-    lambda_dist = mq(())
-    gamma_dist = mq(gamma)
+    lambda_dist = memo.next(())
+    gamma_dist = memo.next(gamma)
     key_l = _label(partitioner, lambda_dist)
     key_g = _label(partitioner, gamma_dist)
     if key_l == key_g:
@@ -356,7 +353,7 @@ def initialize_tree(
 
 def update(
     tree: ClassificationTree,
-    mq: Callable[[String], Optional[Distribution]],
+    memo: MemoModel,
     hypothesis: Pdfa,
     access: list[String],
     gamma: String,
@@ -375,14 +372,14 @@ def update(
     gamma = tuple(gamma)
     partitioner = tree.partitioner
     if mode is LearnerMode.OMIT_ZERO:
-        gamma = shortest_defined_ce_prefix(
-            _MqModel(hypothesis.alphabet, mq), hypothesis, partitioner, gamma
-        )
+        gamma = shortest_defined_ce_prefix(memo, hypothesis, partitioner, gamma)
     n_before = len(tree.leaves)
     prev_leaf = tree.leaves[()]
     state = hypothesis.initial
+    at = memo.root
     for i in range(1, len(gamma) + 1):
-        leaf_i, grew = sift(tree, mq, gamma[:i], mode, monitor)
+        at = at.child(gamma[i - 1])
+        leaf_i, grew = sift(tree, memo, gamma[:i], mode, monitor, at)
         if grew:
             if len(tree.leaves) != n_before + 1:
                 raise AssertionError("sift added more than one leaf")
@@ -403,11 +400,12 @@ def update(
     new_string = gamma[: j - 1]
     if new_string in tree.leaves:
         raise NotACounterexampleError("divergence point is already an access string")
-    key_old = _extension_key(mq, partitioner, mode, prev_leaf.string, new_dis)
-    key_new = _extension_key(mq, partitioner, mode, new_string, new_dis)
+    find = memo.root.find
+    key_old = _extension_key(memo, partitioner, mode, prev_leaf.string, new_dis, find(prev_leaf.string))
+    key_new = _extension_key(memo, partitioner, mode, new_string, new_dis, find(new_string))
     if key_old == key_new:
         raise NotACounterexampleError("new distinguishing string fails to separate the leaves")
-    tree.split(prev_leaf, new_dis, key_old, new_string, key_new, mq(new_string))
+    tree.split(prev_leaf, new_dis, key_old, new_string, key_new, memo.next(new_string))
     if monitor:
         monitor.tree_changed(tree, mode)
 
@@ -429,19 +427,17 @@ def learn(teacher: Teacher, partitioner: Partitioner, config: Optional[LearnerCo
     config = config or LearnerConfig()
     mode = config.mode
     monitor = config.monitor
-    cache: dict[String, Optional[Distribution]] = {}
 
-    def mq(u: String) -> Optional[Distribution]:
-        u = tuple(u)
+    def ask(u: String) -> Optional[Distribution]:
         if config.max_query_len is not None and len(u) > config.max_query_len:
             raise QueryBudgetExceededError(f"query length {len(u)} exceeds the guard")
-        if u not in cache:
-            if config.max_queries is not None and teacher.mq_count >= config.max_queries:
-                raise QueryBudgetExceededError(f"query budget {config.max_queries} exhausted")
-            cache[u] = teacher.mq(u)
-        return cache[u]
+        if config.max_queries is not None and teacher.mq_count >= config.max_queries:
+            raise QueryBudgetExceededError(f"query budget {config.max_queries} exhausted")
+        return teacher.mq(u)
 
-    root_dist = mq(())
+    # a string whose query raised is never stored, so the guards see it again
+    memo = MemoModel(teacher.alphabet, ask)
+    root_dist = memo.next(())
     if root_dist is None:
         raise TeacherUndefinedError("model undefined at the empty string")
     hypothesis = _initial_hypothesis(teacher.alphabet, root_dist, mode)
@@ -449,14 +445,12 @@ def learn(teacher: Teacher, partitioner: Partitioner, config: Optional[LearnerCo
     if ce is None:
         return hypothesis
     if monitor:
-        monitor.counterexample(
-            hypothesis, ce.gamma, walk_defined(hypothesis, ce.gamma)
-        )
-    tree = initialize_tree(ce.gamma, mq, hypothesis, partitioner, mode, monitor)
+        monitor.counterexample(hypothesis, ce.gamma, is_defined(hypothesis.language_model(), ce.gamma))
+    tree = initialize_tree(ce.gamma, memo, hypothesis, partitioner, mode, monitor)
 
     prev_states = hypothesis.n_states
     for _ in range(config.max_iterations):
-        hypothesis, access = build(tree, mq, teacher.alphabet, mode, monitor)
+        hypothesis, access = build(tree, memo, teacher.alphabet, mode, monitor)
         if monitor:
             monitor.progress(prev_states, hypothesis.n_states)
         prev_states = hypothesis.n_states
@@ -466,16 +460,7 @@ def learn(teacher: Teacher, partitioner: Partitioner, config: Optional[LearnerCo
             # returned automaton is the reachable part
             return trim(hypothesis)
         if monitor:
-            monitor.counterexample(hypothesis, ce.gamma, walk_defined(hypothesis, ce.gamma))
-        update(tree, mq, hypothesis, access, ce.gamma, mode, monitor)
+            monitor.counterexample(hypothesis, ce.gamma, is_defined(hypothesis.language_model(), ce.gamma))
+        update(tree, memo, hypothesis, access, ce.gamma, mode, monitor)
     raise QueryBudgetExceededError("iteration guard exhausted before convergence")
 
-
-def walk_defined(pdfa: Pdfa, u: String) -> bool:
-    """True iff u stays inside the supports of the hypothesis."""
-    q = pdfa.initial
-    for s in u:
-        if s not in pdfa.dists[q].support():
-            return False
-        q = pdfa.trans[q][s]
-    return True

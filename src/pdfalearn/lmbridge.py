@@ -20,7 +20,7 @@ from typing import Optional
 
 import requests
 
-from .automata import LanguageModel, Pdfa, next_dist
+from .automata import UNSET, LanguageModel, Pdfa, Prefix, next_dist
 from .errors import ParseFailureError, ProtocolError, TransportError, VocabMismatchError
 from .simplex import Alphabet, Distribution
 
@@ -169,6 +169,7 @@ class SymbolLanguageModel(LanguageModel):
     token sequence after u's token context; the per-symbol masses are then
     renormalized into a distribution. next(u) is None when the context has
     a zero-probability token step or every symbol mass vanishes.
+    Each token context after BOS is asked for once, on a trie of contexts.
     """
 
     def __init__(self, tm: TokenModel, smap: SymbolMap, alphabet: Alphabet):
@@ -180,48 +181,38 @@ class SymbolLanguageModel(LanguageModel):
             missing = used - set(tm.vocab)
             if missing:
                 raise VocabMismatchError(f"tokens {sorted(missing)} not in the model vocabulary")
-        self._tok_cache: dict[tuple[int, ...], dict[int, float]] = {}
-        self._ctx_cache: dict[tuple[int, ...], Optional[tuple[int, ...]]] = {(): (tm.bos,)}
+        self._root = Prefix()
 
-    def _step(self, context: tuple[int, ...]) -> dict[int, float]:
-        if context not in self._tok_cache:
-            self._tok_cache[context] = self.tm.next_tokens(context)
-        return self._tok_cache[context]
+    def _step(self, node: Prefix, path: list[int]) -> dict[int, float]:
+        """Next-token map at `node`, the trie node of the context BOS·path."""
+        if node.value is UNSET:
+            node.value = self.tm.next_tokens((self.tm.bos, *path))
+        return node.value
 
-    def _extend(self, context: tuple[int, ...], tokens: tuple[int, ...]):
-        """(new context, product of step probabilities); product may be 0."""
+    def _extend(self, node: Prefix, path: list[int], tokens: tuple[int, ...]):
+        """Walk `tokens` from `node`, appending them to `path`.
+
+        Returns the node reached and the product of the step probabilities,
+        which is 0.0, and the walk stops, at a zero-probability step.
+        """
         mass = 1.0
         for t in tokens:
-            p = self._step(context).get(t, 0.0)
+            p = self._step(node, path).get(t, 0.0)
             if p <= 0:
-                return None, 0.0
+                return node, 0.0
             mass *= p
-            context = context + (t,)
-        return context, mass
-
-    def _context(self, u: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-        if u in self._ctx_cache:
-            return self._ctx_cache[u]
-        parent = self._context(u[:-1])
-        if parent is None:
-            ctx = None
-        else:
-            ctx, mass = self._extend(parent, self.sequences[u[-1]])
-            if mass <= 0:
-                ctx = None
-        self._ctx_cache[u] = ctx
-        return ctx
+            path.append(t)
+            node = node.child(t)
+        return node, mass
 
     def next(self, u) -> Optional[Distribution]:
-        u = tuple(u)
-        ctx = self._context(u)
-        if ctx is None:
-            return None
-        weights = []
-        for seq in self.sequences:
-            _, mass = self._extend(ctx, seq)
-            weights.append(mass)
-        weights.append(self._step(ctx).get(self.tm.eos, 0.0))
+        node, path = self._root, []
+        for s in u:
+            node, mass = self._extend(node, path, self.sequences[s])
+            if mass <= 0:
+                return None
+        weights = [self._extend(node, list(path), seq)[1] for seq in self.sequences]
+        weights.append(self._step(node, path).get(self.tm.eos, 0.0))
         total = sum(weights)
         if total <= 0:
             return None

@@ -19,7 +19,6 @@ class GenSpec:
     n: int
     m: int
     theta: float
-    kappa: int = 10
     seed: int = 0
 
     def __post_init__(self):

@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .automata import LanguageModel, Pdfa, is_defined, label_at, next_dist
+from .automata import UNSET, LanguageModel, MemoModel, Pdfa, is_defined, next_dist
 from .equivcheck import CeKind, Counterexample, hk_equiv, shortest_defined_ce_prefix
 from .errors import ModelFailureError, PdfaError, TransportError
 from .simplex import Distribution, Partitioner, ZERO_CLASS
@@ -62,22 +62,16 @@ class ExactTeacher(Teacher):
         return self._record_ce(hypothesis, ce)
 
 
-class FilterTeacher(Teacher):
+class FilterTeacher(ExactTeacher):
     """Like ExactTeacher but reports strings through zero transitions as undefined."""
 
     def __init__(self, target: Pdfa, partitioner: Partitioner):
-        super().__init__(target.alphabet, partitioner)
-        self.target = target
+        super().__init__(target, partitioner)
         self._lm = target.language_model()
 
     def mq(self, u) -> Optional[Distribution]:
         self.mq_count += 1
         return self._lm.next(tuple(u))
-
-    def eq(self, hypothesis: Pdfa, partitioner: Optional[Partitioner] = None):
-        self.eq_count += 1
-        ce = hk_equiv(self.target, hypothesis, partitioner or self.partitioner)
-        return self._record_ce(hypothesis, ce)
 
 
 @dataclass(frozen=True)
@@ -109,6 +103,8 @@ class PacTeacher(Teacher):
     Every sampled string is generated from the hypothesis' own
     distributions, so all its prefixes are defined in the hypothesis and any
     disagreement with the model yields a valid counterexample directly.
+    The model is asked once per distinct string, through a memo shared by
+    membership and equivalence queries.
     """
 
     def __init__(self, model: LanguageModel, partitioner: Partitioner, params: PacParams, seed=0):
@@ -117,22 +113,22 @@ class PacTeacher(Teacher):
         self.params = params
         self._rng = np.random.default_rng(seed)
         self._round = params.round
-        self.model_query_count = 0
-        self._cache: dict[tuple, Optional[Distribution]] = {}
 
-    def _model_next(self, u) -> Optional[Distribution]:
-        u = tuple(u)
-        if u not in self._cache:
-            self.model_query_count += 1
+        def ask(u) -> Optional[Distribution]:
             try:
-                self._cache[u] = self.model.next(u)
+                return model.next(u)
             except (TransportError, PdfaError) as exc:
                 raise ModelFailureError(u, exc) from exc
-        return self._cache[u]
+
+        self._memo = MemoModel(model.alphabet, ask)
+
+    @property
+    def model_query_count(self) -> int:
+        return self._memo.misses
 
     def mq(self, u) -> Optional[Distribution]:
         self.mq_count += 1
-        return self._model_next(u)
+        return self._memo.next(u)
 
     def _walk(self, hypothesis: Pdfa) -> tuple:
         q = hypothesis.initial
@@ -152,29 +148,23 @@ class PacTeacher(Teacher):
         self.eq_count += 1
         n = self.params.sample_count(self._round)
         self._round += 1
-        hyp_lm = hypothesis.language_model()
         for _ in range(n):
             u = self._walk(hypothesis)
+            # the sample follows the hypothesis' supports, so its state is
+            # defined at every prefix
+            node, q = self._memo.root, hypothesis.initial
             for j in range(len(u) + 1):
-                p = u[:j]
-                dist = self._model_next(p)
+                dist = node.value
+                if dist is UNSET:
+                    dist = self._memo.value(node, u[:j])
                 model_label = ZERO_CLASS if dist is None else partitioner.label(dist)
-                if model_label != label_at(hyp_lm, partitioner, p):
-                    gamma = shortest_defined_ce_prefix(_CachedModel(self), hypothesis, partitioner, p)
+                if model_label != partitioner.label(hypothesis.dists[q]):
+                    gamma = shortest_defined_ce_prefix(self._memo, hypothesis, partitioner, u[:j])
                     kind = CeKind.SUPPORT_MISMATCH if dist is None else CeKind.DIST_MISMATCH
                     return self._record_ce(hypothesis, Counterexample(gamma, kind))
+                if j < len(u):
+                    node, q = node.child(u[j]), hypothesis.trans[q][u[j]]
         return None
-
-
-class _CachedModel(LanguageModel):
-    """Teacher-internal view of the model that shares the query cache."""
-
-    def __init__(self, teacher: PacTeacher):
-        self.teacher = teacher
-        self.alphabet = teacher.alphabet
-
-    def next(self, u):
-        return self.teacher._model_next(u)
 
 
 def exact_teacher(target: Pdfa, partitioner: Partitioner) -> ExactTeacher:

@@ -181,3 +181,33 @@ def test_bench_query_columns_deterministic(tmp_path):
         records = [r for r in rows if len(r) >= 12]  # skip the short median rows
         tables.append([(r[4], r[5], r[6], r[7], r[9]) for r in records])
     assert tables[0] == tables[1]
+
+
+def test_learn_from_endpoint_rejects_other_modes(tmp_path, capsys):
+    """A served model is learned in omit-zero mode only; any other --mode is a usage error."""
+    rc = main(["learn", "--endpoint", "http://127.0.0.1:9", "--symbol-map", str(tmp_path / "map.tsv"),
+               "--mode", "qnt-standard"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "UsageError"
+    assert "omit-zero" in err["detail"]
+
+
+def test_bench_records_failed_runs(monkeypatch):
+    """A failed run carries its error and stays out of the medians."""
+    from pdfalearn import bench
+    from pdfalearn.errors import QueryBudgetExceededError
+    from pdfalearn.randgen import GenSpec, random_pdfa
+
+    def failing_learn(teacher, partitioner, config=None):
+        teacher.mq(())
+        raise QueryBudgetExceededError("budget spent")
+
+    spec = GenSpec(n=8, m=3, theta=0.5, seed=1)
+    ok = bench.run_learning(random_pdfa(spec), ExactPartitioner(), "omit-zero", spec)
+    monkeypatch.setattr(bench, "learn", failing_learn)
+    failed = bench.run_learning(random_pdfa(spec), ExactPartitioner(), "omit-zero", spec)
+    assert ok.error == "" and ok.mq_count > 1
+    assert failed.error == "QueryBudgetExceededError: budget spent"
+    assert failed.to_row().endswith("\tQueryBudgetExceededError: budget spent")
+    assert bench.median_mq_by([ok, failed]) == {(8, "omit-zero"): ok.mq_count}

@@ -4,6 +4,7 @@ import pytest
 
 from pdfalearn.automata import (
     CongruenceMode,
+    MemoModel,
     congruence_partition,
     is_defined,
     isomorphic,
@@ -31,15 +32,7 @@ EXACT = ExactPartitioner()
 
 
 def cached_mq(teacher):
-    cache = {}
-
-    def mq(u):
-        u = tuple(u)
-        if u not in cache:
-            cache[u] = teacher.mq(u)
-        return cache[u]
-
-    return mq
+    return MemoModel(teacher.alphabet, teacher.mq)
 
 
 # --- initialize ---
@@ -47,7 +40,7 @@ def cached_mq(teacher):
 def test_initialize_uses_shortest_defined_prefix(loop_pdfa, ab_alphabet):
     teacher = exact_teacher(loop_pdfa, EXACT)
     mq = cached_mq(teacher)
-    hyp0 = _initial_hypothesis(loop_pdfa.alphabet, mq(()), LearnerMode.OMIT_ZERO)
+    hyp0 = _initial_hypothesis(loop_pdfa.alphabet, mq.next(()), LearnerMode.OMIT_ZERO)
     ce = teacher.eq(hyp0)
     # breadth-first with ascending symbols: the length-1 conflict on 'a' comes first
     assert ce.gamma == ab_alphabet.string("a")
@@ -58,7 +51,7 @@ def test_initialize_uses_shortest_defined_prefix(loop_pdfa, ab_alphabet):
 def test_initialize_keeps_longer_ce_when_no_shorter_prefix_disagrees(loop_pdfa, ab_alphabet):
     teacher = exact_teacher(loop_pdfa, EXACT)
     mq = cached_mq(teacher)
-    hyp0 = _initial_hypothesis(loop_pdfa.alphabet, mq(()), LearnerMode.OMIT_ZERO)
+    hyp0 = _initial_hypothesis(loop_pdfa.alphabet, mq.next(()), LearnerMode.OMIT_ZERO)
     gamma = ab_alphabet.string("b")  # valid counterexample on its own
     tree = initialize_tree(gamma, mq, hyp0, EXACT, LearnerMode.OMIT_ZERO)
     assert set(tree.leaves) == {(), gamma}
@@ -67,7 +60,7 @@ def test_initialize_keeps_longer_ce_when_no_shorter_prefix_disagrees(loop_pdfa, 
 def test_initialize_baseline_mode_keeps_gamma_unreduced(loop_pdfa, ab_alphabet):
     teacher = exact_teacher(loop_pdfa, EXACT)
     mq = cached_mq(teacher)
-    hyp0 = _initial_hypothesis(loop_pdfa.alphabet, mq(()), LearnerMode.QNT_STANDARD)
+    hyp0 = _initial_hypothesis(loop_pdfa.alphabet, mq.next(()), LearnerMode.QNT_STANDARD)
     gamma = ab_alphabet.string("ba")  # "b" already disagrees, but no reduction happens
     tree = initialize_tree(gamma, mq, hyp0, EXACT, LearnerMode.QNT_STANDARD)
     assert set(tree.leaves) == {(), gamma}
@@ -79,7 +72,7 @@ def test_initialize_baseline_mode_keeps_gamma_unreduced(loop_pdfa, ab_alphabet):
 def seeded_tree(loop_pdfa, ab_alphabet):
     teacher = exact_teacher(loop_pdfa, EXACT)
     mq = cached_mq(teacher)
-    hyp0 = _initial_hypothesis(loop_pdfa.alphabet, mq(()), LearnerMode.OMIT_ZERO)
+    hyp0 = _initial_hypothesis(loop_pdfa.alphabet, mq.next(()), LearnerMode.OMIT_ZERO)
     tree = initialize_tree(ab_alphabet.string("b"), mq, hyp0, EXACT, LearnerMode.OMIT_ZERO)
     return tree, mq
 
@@ -106,9 +99,9 @@ def test_sift_update_adds_fresh_class(seeded_tree, ab_alphabet):
 
 
 def test_sift_rejects_undefined_access_candidate(seeded_tree):
-    tree, _ = seeded_tree
+    tree, mq = seeded_tree
     with pytest.raises(TeacherUndefinedError):
-        sift(tree, lambda u: None, (0,), LearnerMode.OMIT_ZERO)
+        sift(tree, MemoModel(mq.alphabet, lambda u: None), (0,), LearnerMode.OMIT_ZERO)
 
 
 # --- build ---
@@ -128,7 +121,7 @@ def test_build_undef_outside_support(merged_pair_pdfa):
     teacher = exact_teacher(merged_pair_pdfa, EXACT)
     mq = cached_mq(teacher)
     tree = ClassificationTree(EXACT)
-    tree.add_leaf(tree.root, EXACT.label(mq(())), (), mq(()))
+    tree.add_leaf(tree.root, EXACT.label(mq.next(())), (), mq.next(()))
     hyp, _ = build(tree, mq, merged_pair_pdfa.alphabet, LearnerMode.OMIT_ZERO)
     assert hyp.n_states == 1
     assert hyp.trans[0] == (0, None)
@@ -138,7 +131,7 @@ def test_build_total_in_baseline_mode(loop_pdfa):
     teacher = exact_teacher(loop_pdfa, EXACT)
     mq = cached_mq(teacher)
     tree = ClassificationTree(EXACT)
-    tree.add_leaf(tree.root, EXACT.label(mq(())), (), mq(()))
+    tree.add_leaf(tree.root, EXACT.label(mq.next(())), (), mq.next(()))
     hyp, _ = build(tree, mq, loop_pdfa.alphabet, LearnerMode.QNT_STANDARD)
     assert hyp.is_total()
 
@@ -148,7 +141,7 @@ def test_build_total_in_baseline_mode(loop_pdfa):
 def test_update_adds_exactly_one_leaf(loop_pdfa, loop_pdfa_top2, ab_alphabet):
     teacher = exact_teacher(loop_pdfa, EXACT)
     mq = cached_mq(teacher)
-    hyp0 = _initial_hypothesis(loop_pdfa.alphabet, mq(()), LearnerMode.OMIT_ZERO)
+    hyp0 = _initial_hypothesis(loop_pdfa.alphabet, mq.next(()), LearnerMode.OMIT_ZERO)
     tree = initialize_tree(ab_alphabet.string("a"), mq, hyp0, EXACT, LearnerMode.OMIT_ZERO)
     hyp, access = build(tree, mq, loop_pdfa.alphabet, LearnerMode.OMIT_ZERO)
     before = len(tree.leaves)

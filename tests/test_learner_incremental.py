@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from pdfalearn.automata import Pdfa, trim
+from pdfalearn.automata import LanguageModel, MemoModel, Pdfa, trim
 from pdfalearn.equivcheck import shortest_defined_ce_prefix
 from pdfalearn.errors import NotACounterexampleError, TeacherUndefinedError
 from pdfalearn.learner import (
@@ -22,8 +22,6 @@ from pdfalearn.learner import (
     LearnerConfig,
     LearnerMode,
     LearnerMonitor,
-    _MqModel,
-    _extension_key,
     _initial_hypothesis,
     _label,
     build,
@@ -46,6 +44,30 @@ EXACT = ExactPartitioner()
 
 
 # --- reference: the restart-from-root construction ---
+
+
+class _MqModel(LanguageModel):
+    """Language-model view over a membership-query function."""
+
+    def __init__(self, alphabet, mq):
+        self.alphabet = alphabet
+        self._mq = mq
+
+    def next(self, u):
+        return self._mq(tuple(u))
+
+
+def _extension_key(mq, partitioner, mode, v, w):
+    """Arc key for v·w, asking for every prefix of v·w in turn as a fresh tuple."""
+    if mode is LearnerMode.OMIT_ZERO:
+        u = v
+        for s in w:
+            dist = mq(u)
+            if dist is None or s not in dist.support():
+                return ZERO_CLASS
+            u = u + (s,)
+        return _label(partitioner, mq(u))
+    return _label(partitioner, mq(v + w))
 
 
 class _RefLeaf:
@@ -334,14 +356,8 @@ def test_rebuilding_an_unchanged_tree_asks_nothing():
     target = random_pdfa(GenSpec(n=60, m=4, theta=0.5, seed=11))
     part = CountingPartitioner(10)
     teacher = exact_teacher(target, part)
-    cache = {}
-
-    def mq(u):
-        if u not in cache:
-            cache[u] = teacher.mq(u)
-        return cache[u]
-
-    hypothesis = _initial_hypothesis(target.alphabet, mq(()), LearnerMode.OMIT_ZERO)
+    mq = MemoModel(target.alphabet, teacher.mq)
+    hypothesis = _initial_hypothesis(target.alphabet, mq.next(()), LearnerMode.OMIT_ZERO)
     tree = initialize_tree(teacher.eq(hypothesis).gamma, mq, hypothesis, part)
     for _ in range(5):
         hypothesis, access = build(tree, mq, target.alphabet)

@@ -9,6 +9,7 @@ from pdfalearn.errors import (
     ParseFailureError,
     UndefinedStartError,
 )
+from pdfalearn.fileio import guide_from_spec, save_guide_spec
 from pdfalearn.pipeline import (
     SampledString,
     analytic_length_pmf,
@@ -16,10 +17,8 @@ from pdfalearn.pipeline import (
     chain_guide,
     compare_distributions,
     digit_guide,
-    guide_from_spec,
     guided_sample,
     parse_float_value,
-    save_guide_spec,
 )
 from pdfalearn.randgen import GenSpec, random_pdfa
 from pdfalearn.simplex import Alphabet, TopR
