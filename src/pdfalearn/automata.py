@@ -84,9 +84,9 @@ class Pdfa:
 
 def walk(pdfa: Pdfa, u: Sequence[int]) -> Optional[int]:
     """Follow the transition structure from the initial state; None if a step is missing."""
-    q = pdfa.initial
+    q, m = pdfa.initial, pdfa.alphabet.size
     for s in u:
-        if not 0 <= s < pdfa.alphabet.size:
+        if not 0 <= s < m:
             raise UnknownSymbolError(f"symbol index {s} not in alphabet")
         q = pdfa.trans[q][s]
         if q is None:
@@ -258,42 +258,41 @@ def termination_mass(pdfa: Pdfa, tol: float = 1e-12, max_iter: int = 10**6) -> l
 # Reachability and trimming
 # ---------------------------------------------------------------------------
 
-def reachable_states(pdfa: Pdfa, positive_only: bool = False) -> list[int]:
-    """BFS over transitions; positive_only restricts to support symbols."""
-    seen = [False] * pdfa.n_states
-    seen[pdfa.initial] = True
-    order = [pdfa.initial]
-    queue = collections.deque([pdfa.initial])
-    while queue:
-        q = queue.popleft()
-        symbols = sorted(pdfa.dists[q].support()) if positive_only else range(pdfa.alphabet.size)
-        for s in symbols:
-            t = pdfa.trans[q][s]
+def reachable_states(trans, initial: int = 0, supports=None) -> list[int]:
+    """States reachable from `initial` over a transition table, in BFS discovery order.
+
+    `trans[q][s]` is a successor or None. Successors are expanded in
+    ascending symbol order, so the states come out in shortlex order of
+    their shortest access strings. `supports[q]`, when given, restricts the
+    symbols followed out of q.
+    """
+    seen = [False] * len(trans)
+    seen[initial] = True
+    order = [initial]
+    for q in order:  # the list grows behind the cursor: a FIFO queue
+        row = trans[q]
+        for s in range(len(row)) if supports is None else sorted(supports[q]):
+            t = row[s]
             if t is not None and not seen[t]:
                 seen[t] = True
                 order.append(t)
-                queue.append(t)
     return order
 
 
 def trim(pdfa: Pdfa, positive_only: bool = False) -> Pdfa:
-    """Restrict to reachable states, renumbering in BFS discovery order."""
-    order = reachable_states(pdfa, positive_only)
+    """Restrict to reachable states, renumbering in BFS discovery order.
+
+    This numbering is canonical: isomorphic reachable parts trim to equal
+    automata, and state q precedes q' iff q's shortest access string is
+    shortlex-smaller. positive_only follows support symbols only and drops
+    the zero-probability transitions it orphans.
+    """
+    supports = [d.support() for d in pdfa.dists] if positive_only else None
+    order = reachable_states(pdfa.trans, pdfa.initial, supports)
     remap = {old: new for new, old in enumerate(order)}
-    keep_targets = set(order)
     dists = tuple(pdfa.dists[q] for q in order)
-    trans = []
-    for q in order:
-        row = []
-        for s in range(pdfa.alphabet.size):
-            t = pdfa.trans[q][s]
-            if t is None or t not in keep_targets:
-                row.append(None)
-            else:
-                row.append(remap[t])
-        # positive trimming may orphan zero-probability transitions; drop them
-        trans.append(tuple(row))
-    return Pdfa(pdfa.alphabet, dists, tuple(trans), remap[pdfa.initial])
+    trans = tuple(tuple(map(remap.get, pdfa.trans[q])) for q in order)
+    return Pdfa(pdfa.alphabet, dists, trans, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +341,7 @@ def congruence_partition(
     zero-probability transitions are never followed. ALL mode refines over
     every symbol, treating a missing transition as its own sink.
     """
-    reach = reachable_states(pdfa)
+    reach = reachable_states(pdfa.trans, pdfa.initial)
     labels: dict[ClassId, int] = {}
     block = {}
     for q in reach:
@@ -390,68 +389,26 @@ def quotient(pdfa: Pdfa, partitioner: Partitioner) -> Pdfa:
     """
     sub = trim(pdfa, positive_only=True)
     part = congruence_partition(sub, partitioner, CongruenceMode.SUPPORT)
-
-    # shortest access string per state: BFS over support symbols
-    access: dict[int, String] = {sub.initial: EMPTY}
-    queue = collections.deque([sub.initial])
-    while queue:
-        q = queue.popleft()
-        for s in sorted(sub.dists[q].support()):
-            t = sub.trans[q][s]
-            if t is not None and t not in access:
-                access[t] = access[q] + (s,)
-                queue.append(t)
-
-    reps = {}
-    for b, states in enumerate(part.blocks):
-        reps[b] = min(states, key=lambda q: (len(access[q]), access[q]))
-    order = sorted(range(part.num_blocks), key=lambda b: (len(access[reps[b]]), access[reps[b]]))
-    new_index = {b: i for i, b in enumerate(order)}
-
+    # trim numbers sub's states in shortlex order of their shortest access
+    # strings and blocks come ordered by smallest member: each block's first
+    # state is its representative, and block 0 holds the initial state
     dists = []
     trans = []
-    for b in order:
-        rep = reps[b]
+    for states in part.blocks:
+        rep = states[0]
         dist = sub.dists[rep]
         dists.append(dist)
-        row = []
-        for s in range(sub.alphabet.size):
-            if s in dist.support():
-                row.append(new_index[part.block_of[sub.trans[rep][s]]])
-            else:
-                row.append(None)
-        trans.append(tuple(row))
-    return Pdfa(sub.alphabet, tuple(dists), tuple(trans), new_index[part.block_of[sub.initial]])
+        support = dist.support()
+        trans.append(tuple(part.block_of[t] if s in support else None for s, t in enumerate(sub.trans[rep])))
+    return Pdfa(sub.alphabet, tuple(dists), tuple(trans), 0)
 
 
 def isomorphic(a: Pdfa, b: Pdfa) -> bool:
-    """Structure- and distribution-exact isomorphism on the reachable parts."""
-    if a.alphabet != b.alphabet:
-        return False
-    a, b = trim(a), trim(b)
-    if a.n_states != b.n_states:
-        return False
-    pairing = {a.initial: b.initial}
-    queue = collections.deque([(a.initial, b.initial)])
-    while queue:
-        qa, qb = queue.popleft()
-        if a.dists[qa] != b.dists[qb]:
-            return False
-        for s in range(a.alphabet.size):
-            ta, tb = a.trans[qa][s], b.trans[qb][s]
-            if (ta is None) != (tb is None):
-                return False
-            if ta is None:
-                continue
-            if ta in pairing:
-                if pairing[ta] != tb:
-                    return False
-            else:
-                if tb in pairing.values():
-                    return False
-                pairing[ta] = tb
-                queue.append((ta, tb))
-    return True
+    """Structure- and distribution-exact isomorphism on the reachable parts.
+
+    trim's numbering is canonical, so isomorphic reachable parts trim to equal automata.
+    """
+    return trim(a) == trim(b)
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +530,6 @@ def materialize_compose(
     dists = [init_dist]
     rows: list[list[Optional[int]]] = []
     queue = collections.deque([start])
-    order = [start]
     while queue:
         l, g = queue.popleft()
         dist = dists[index[(l, g)]]
@@ -595,7 +551,6 @@ def materialize_compose(
                     continue
                 index[target] = len(dists)
                 dists.append(tdist)
-                order.append(target)
                 queue.append(target)
             row.append(index[target])
         rows.append(row)

@@ -55,14 +55,11 @@ def _write_or_print(text: str, out):
 
 
 def _load_model(args):
-    """Language model from --target (file) or --endpoint (+ --symbol-map)."""
-    if args.target:
-        pdfa = fileio.load_pdfa(args.target)
-        return pdfa.language_model(), pdfa
+    """Language model served at --endpoint, with symbols from --symbol-map."""
     smap = load_symbol_map(args.symbol_map)
     alphabet = Alphabet(tuple(name for name, _, _ in smap.entries))
     tm = remote_token_model(args.endpoint, bos=args.bos, eos=args.eos)
-    return symbol_model(tm, smap, alphabet), None
+    return symbol_model(tm, smap, alphabet)
 
 
 def cmd_learn(args):
@@ -95,7 +92,7 @@ def cmd_learn(args):
             verified=hk_equiv(learned, quotient(pdfa, partitioner), partitioner) is None,
         )
     else:
-        model, _ = _load_model(args)
+        model = _load_model(args)
         if args.guide:
             model = compose(model, fileio.load_guide(args.guide), strategy)
         params = PacParams(epsilon=args.epsilon, delta=args.delta, max_len=args.max_len)

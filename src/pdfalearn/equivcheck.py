@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .automata import LanguageModel, Pdfa, String, is_defined, label_at
+from .automata import LanguageModel, Pdfa, String, label_at
 from .errors import AlphabetMismatchError, NotACounterexampleError
 from .simplex import Partitioner, ZERO_CLASS
 
@@ -137,15 +137,19 @@ def shortest_defined_ce_prefix(
     preceded by a support disagreement one step earlier.
     """
     gamma = tuple(gamma)
-    hyp_lm = hypothesis.language_model()
-    if not is_defined(hyp_lm, gamma):
-        raise NotACounterexampleError("counterexample is undefined in the hypothesis")
-    if label_at(model, partitioner, gamma) == label_at(hyp_lm, partitioner, gamma):
+    q = hypothesis.initial
+    hyp_dists = [hypothesis.dists[q]]  # hypothesis distribution after each prefix of gamma
+    for s in gamma:
+        if s not in hyp_dists[-1].support():
+            raise NotACounterexampleError("counterexample is undefined in the hypothesis")
+        q = hypothesis.trans[q][s]
+        hyp_dists.append(hypothesis.dists[q])
+    if label_at(model, partitioner, gamma) == partitioner.label(hyp_dists[-1]):
         raise NotACounterexampleError("string does not distinguish model and hypothesis")
-    for j in range(len(gamma) + 1):
+    for j, dist in enumerate(hyp_dists):
         p = gamma[:j]
         model_label = label_at(model, partitioner, p)
-        if model_label != label_at(hyp_lm, partitioner, p):
+        if model_label != partitioner.label(dist):
             if model_label is ZERO_CLASS:
                 raise NotACounterexampleError(
                     "first disagreement is model-undefined; supports were inconsistent earlier"

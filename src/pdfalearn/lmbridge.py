@@ -109,12 +109,6 @@ class SymbolMap:
                 )
             seen[tokens] = symbol
 
-    def str_of(self, symbol: str) -> str:
-        for name, chars, _ in self.entries:
-            if name == symbol:
-                return chars
-        raise KeyError(symbol)
-
     def tok_of(self, symbol: str) -> tuple[int, ...]:
         for name, _, tokens in self.entries:
             if name == symbol:

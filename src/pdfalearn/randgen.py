@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .automata import Pdfa, trim
+from .automata import Pdfa, reachable_states
 from .simplex import Alphabet, Distribution
 
 
@@ -40,23 +40,10 @@ def random_dfa(n: int, m: int, seed) -> tuple[tuple[int, ...], ...]:
     The reachable part is renumbered in BFS order; its size is at most n and
     concentrates near n for reasonable m.
     """
-    rng = np.random.default_rng(seed)
-    raw = rng.integers(0, n, size=(n, m))
-    # BFS trim from state 0
-    seen = [False] * n
-    seen[0] = True
-    order = [0]
-    head = 0
-    while head < len(order):
-        q = order[head]
-        head += 1
-        for s in range(m):
-            t = int(raw[q][s])
-            if not seen[t]:
-                seen[t] = True
-                order.append(t)
+    raw = np.random.default_rng(seed).integers(0, n, size=(n, m)).tolist()
+    order = reachable_states(raw)
     remap = {old: new for new, old in enumerate(order)}
-    return tuple(tuple(remap[int(raw[q][s])] for s in range(m)) for q in order)
+    return tuple(tuple(remap[t] for t in raw[q]) for q in order)
 
 
 def assign_distributions(
@@ -88,7 +75,10 @@ def assign_distributions(
 
 
 def random_pdfa(spec: GenSpec, alphabet: Optional[Alphabet] = None) -> Pdfa:
-    """Full benchmark instance: random structure plus random distributions."""
+    """Full benchmark instance: random structure plus random distributions.
+
+    random_dfa already trims and BFS-numbers the structure, so the result
+    is what `trim` would return.
+    """
     structure = random_dfa(spec.n, spec.m, np.random.SeedSequence([spec.seed, 0]))
-    pdfa = assign_distributions(structure, spec.theta, np.random.SeedSequence([spec.seed, 1]), alphabet)
-    return trim(pdfa)
+    return assign_distributions(structure, spec.theta, np.random.SeedSequence([spec.seed, 1]), alphabet)
