@@ -223,32 +223,40 @@ def label_at(model: LanguageModel, partitioner: Partitioner, u: String) -> Class
     return ZERO_CLASS if dist is None else partitioner.label(dist)
 
 
+class SupportEdges:
+    """Per state q, pi(q)($) as `terminal[q]` and the support edges (symbol,
+    pi(q)(symbol), target) as `edges[q]`: floats, in `dist.support()` order,
+    which every sum over them keeps."""
+
+    def __init__(self, pdfa: Pdfa):
+        self.terminal = [float(d.terminal_prob) for d in pdfa.dists]
+        self.edges = [
+            [(s, float(dist.probs[s]), row[s]) for s in dist.support()]
+            for dist, row in zip(pdfa.dists, pdfa.trans)
+        ]
+
+    def completion_step(self, x: list[float]) -> tuple[list[float], float]:
+        """x_q <- pi(q)($) + sum_s pi(q)(s) * x[trans(q,s)] for every q, and the largest change."""
+        new = []
+        delta = 0.0
+        for v, row, old in zip(self.terminal, self.edges, x):
+            for _, p, t in row:
+                v += p * x[t]
+            new.append(v)
+            if abs(v - old) > delta:
+                delta = abs(v - old)
+        return new, delta
+
+
 def termination_mass(pdfa: Pdfa, tol: float = 1e-12, max_iter: int = 10**6) -> list[float]:
     """Per-state probability of eventual termination.
 
-    Monotone fixed-point iteration from 0 of
-    x_q = pi(q)($) + sum_s pi(q)(s) * x_{trans(q,s)}; converges from below.
+    Monotone fixed-point iteration of the completion step from 0; converges from below.
     """
-    n = pdfa.n_states
-    base = [float(d.terminal_prob) for d in pdfa.dists]
-    edges = []
-    for q in range(n):
-        row = []
-        dist = pdfa.dists[q]
-        for s in dist.support():
-            row.append((float(dist.prob(s)), pdfa.trans[q][s]))
-        edges.append(row)
-    x = [0.0] * n
+    step = SupportEdges(pdfa).completion_step
+    x, delta = [0.0] * pdfa.n_states, float("inf")
     for _ in range(max_iter):
-        delta = 0.0
-        new = [0.0] * n
-        for q in range(n):
-            v = base[q]
-            for p, t in edges[q]:
-                v += p * x[t]
-            new[q] = v
-            delta = max(delta, abs(v - x[q]))
-        x = new
+        x, delta = step(x)
         if delta < tol:
             return x
     raise NonConvergenceError(delta, max_iter)
@@ -340,43 +348,38 @@ def congruence_partition(
     (label equality forces equal supports, so the probe set is well defined);
     zero-probability transitions are never followed. ALL mode refines over
     every symbol, treating a missing transition as its own sink.
+
+    Blocks are numbered by their smallest member state.
     """
-    reach = reachable_states(pdfa.trans, pdfa.initial)
+    reach = sorted(reachable_states(pdfa.trans, pdfa.initial))
+    n = pdfa.n_states
+    unset = [None] * n + [-1]  # unreachable states have no block, the sink's is -1
+    block = unset[:]
     labels: dict[ClassId, int] = {}
-    block = {}
+    # each reachable state probes itself, then its successor on each probed
+    # symbol; a missing transition leads to state n, the sink
+    probes = []
     for q in reach:
-        lab = partitioner.label(pdfa.dists[q])
-        block[q] = labels.setdefault(lab, len(labels))
-
-    m = pdfa.alphabet.size
+        row = pdfa.trans[q]
+        symbols = sorted(pdfa.dists[q].support()) if mode is CongruenceMode.SUPPORT else range(len(row))
+        probes.append((q, *(n if row[s] is None else row[s] for s in symbols)))
+        block[q] = labels.setdefault(partitioner.label(pdfa.dists[q]), len(labels))
+    count = len(labels)
     while True:
-        signatures = {}
-        for q in reach:
-            if mode is CongruenceMode.SUPPORT:
-                probe = sorted(pdfa.dists[q].support())
-            else:
-                probe = range(m)
-            sig = (block[q],) + tuple(
-                -1 if pdfa.trans[q][s] is None else block[pdfa.trans[q][s]] for s in probe
-            )
-            signatures[q] = sig
+        # signatures start with the own block, so rounds only split blocks;
+        # ascending visits number fresh blocks by their smallest member
         fresh: dict[tuple, int] = {}
-        new_block = {q: fresh.setdefault(signatures[q], len(fresh)) for q in reach}
-        if len(fresh) == len(set(block.values())):
-            break
+        new_block = unset[:]
+        for probe in probes:
+            new_block[probe[0]] = fresh.setdefault(tuple(map(block.__getitem__, probe)), len(fresh))
         block = new_block
-
-    # renumber blocks by smallest member state for determinism
-    members: dict[int, list[int]] = collections.defaultdict(list)
+        if len(fresh) == count:
+            break
+        count = len(fresh)
+    blocks: list[list[int]] = [[] for _ in range(count)]
     for q in reach:
-        members[block[q]].append(q)
-    ordered = sorted(members.values(), key=min)
-    final = {}
-    for i, states in enumerate(ordered):
-        for q in states:
-            final[q] = i
-    block_of = tuple(final.get(q) for q in range(pdfa.n_states))
-    return StatePartition(block_of, tuple(tuple(sorted(s)) for s in ordered))
+        blocks[block[q]].append(q)
+    return StatePartition(tuple(block[:n]), tuple(map(tuple, blocks)))
 
 
 def quotient(pdfa: Pdfa, partitioner: Partitioner) -> Pdfa:

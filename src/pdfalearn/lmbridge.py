@@ -21,7 +21,7 @@ from typing import Optional
 import requests
 
 from .automata import UNSET, LanguageModel, Pdfa, Prefix, next_dist
-from .errors import ParseFailureError, ProtocolError, TransportError, VocabMismatchError
+from .errors import ModelFailureError, ParseFailureError, ProtocolError, TransportError, VocabMismatchError
 from .simplex import Alphabet, Distribution
 
 logger = logging.getLogger(__name__)
@@ -238,20 +238,23 @@ class RemoteTokenModel(TokenModel):
         self._session = requests.Session()
 
     def _fetch(self, context: tuple[int, ...]) -> dict[int, float]:
+        """Ask the server; only connection errors and 5xx answers are retried."""
         payload = {"context": list(context)}
         last_error = None
         for attempt in range(self.retries):
+            if attempt:
+                time.sleep(0.05 * 2 ** (attempt - 1))
+            self.request_count += 1
             try:
-                self.request_count += 1
                 resp = self._session.post(self.endpoint, json=payload, timeout=self.timeout)
             except requests.RequestException as exc:
                 last_error = exc
-                time.sleep(0.05 * 2**attempt)
                 continue
-            if resp.status_code != 200:
+            if resp.status_code >= 500:
                 last_error = f"HTTP {resp.status_code}"
-                time.sleep(0.05 * 2**attempt)
                 continue
+            if resp.status_code != 200:  # the model's own answer: asking again repeats it
+                raise ModelFailureError(context, f"HTTP {resp.status_code}: {resp.text}")
             try:
                 body = resp.json()
             except ValueError as exc:
@@ -313,10 +316,13 @@ class TokenModelServer:
                     context = tuple(int(t) for t in body["context"])
                     probs = outer.model.next_tokens(context)
                 except Exception as exc:  # surface model errors as HTTP 400
-                    self.send_error(400, str(exc))
+                    self._reply(400, {"error": f"{type(exc).__name__}: {exc}"})
                     return
-                payload = json.dumps({"probs": {str(t): p for t, p in probs.items()}}).encode()
-                self.send_response(200)
+                self._reply(200, {"probs": {str(t): p for t, p in probs.items()}})
+
+            def _reply(self, status: int, body: dict):
+                payload = json.dumps(body, ensure_ascii=False).encode()
+                self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(payload)))
                 self.end_headers()

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import stats
 from scipy.special import gammaincc
 
-from .automata import GuideAutomaton, LanguageModel, Pdfa, PdfaLanguageModel, String
+from .automata import GuideAutomaton, LanguageModel, Pdfa, PdfaLanguageModel, String, SupportEdges
 from .errors import ParseFailureError, UndefinedStartError
 from .fileio import guide_from_spec
 from .simplex import Alphabet
@@ -113,7 +113,11 @@ def parse_float_value(symbols: String, alphabet: Alphabet) -> float:
     A single leading dot-like symbol is allowed; any other non-digit symbol
     is a parse failure.
     """
-    digits = digit_indices(alphabet)
+    return _parse_value(symbols, alphabet, digit_indices(alphabet))
+
+
+def _parse_value(symbols: String, alphabet: Alphabet, digits: list[Optional[int]]) -> float:
+    """parse_float_value with the alphabet's digit table already built."""
     value = 0.0
     scale = 0.1
     for pos, s in enumerate(symbols):
@@ -195,7 +199,8 @@ def _chi2_two_sample(counts_a: Sequence[int], counts_b: Sequence[int]) -> tuple[
 
 
 def _values_and_lengths(samples: list[SampledString], alphabet: Alphabet):
-    values = [parse_float_value(s.symbols, alphabet) for s in samples if not s.truncated]
+    digits = digit_indices(alphabet)
+    values = [_parse_value(s.symbols, alphabet, digits) for s in samples if not s.truncated]
     lengths = [len(s) for s in samples if not s.truncated]
     truncated = sum(1 for s in samples if s.truncated)
     return values, lengths, truncated
@@ -298,23 +303,6 @@ def _ks_against_pmf(lengths, pmf):
 # Exact value/length laws of a finite model
 # ---------------------------------------------------------------------------
 
-def _completion_table(pdfa: Pdfa, max_len: int) -> list[list[float]]:
-    """completes[j][q] = probability of drawing the terminal within j draws."""
-    n = pdfa.n_states
-    table = [[0.0] * n]
-    for _ in range(max_len):
-        prev = table[-1]
-        row = []
-        for q in range(n):
-            dist = pdfa.dists[q]
-            v = float(dist.terminal_prob)
-            for s in dist.support():
-                v += float(dist.prob(s)) * prev[pdfa.trans[q][s]]
-            row.append(v)
-        table.append(row)
-    return table
-
-
 def analytic_value_bins(pdfa: Pdfa, bins: int, max_len: int) -> list[float]:
     """Exact bin masses of parsed values, conditioned on completion.
 
@@ -329,7 +317,11 @@ def analytic_value_bins(pdfa: Pdfa, bins: int, max_len: int) -> list[float]:
     if depth_needed is None:
         raise ValueError(f"{bins} equal-width bins do not align with a decimal digit grid")
     digits = digit_indices(pdfa.alphabet)
-    completes = _completion_table(pdfa, max_len)
+    support = SupportEdges(pdfa)
+    # completes[j][q]: probability of drawing the terminal within j draws from q
+    completes = [[0.0] * pdfa.n_states]
+    for _ in range(max_len):
+        completes.append(support.completion_step(completes[-1])[0])
     masses = [0.0] * bins
     total = 0.0
     # frontier over (state, depth, digit prefix); dot-like symbols are allowed
@@ -338,21 +330,18 @@ def analytic_value_bins(pdfa: Pdfa, bins: int, max_len: int) -> list[float]:
     while frontier:
         grown: dict = collections.defaultdict(float)
         for (q, depth, prefix), mass in frontier.items():
-            dist = pdfa.dists[q]
-            if len(prefix) >= depth_needed:
-                value = sum(d * 10.0 ** -(i + 1) for i, d in enumerate(prefix))
-                p = mass * completes[max_len - depth][q]
-                masses[_bin_index(value, bins)] += p
-                total += p
+            # a decided prefix adds the mass that completes in time and stops;
+            # any other adds the mass that terminates here and grows
+            decided = len(prefix) >= depth_needed
+            if not decided and depth >= max_len:
                 continue
-            if depth >= max_len:
+            value = sum(d * 10.0 ** -(i + 1) for i, d in enumerate(prefix))
+            p = mass * (completes[max_len - depth][q] if decided else support.terminal[q])
+            masses[_bin_index(value, bins)] += p
+            total += p
+            if decided:
                 continue
-            if dist.terminal_prob > 0:
-                value = sum(d * 10.0 ** -(i + 1) for i, d in enumerate(prefix))
-                p = mass * float(dist.terminal_prob)
-                masses[_bin_index(value, bins)] += p
-                total += p
-            for s in dist.support():
+            for s, prob, t in support.edges[q]:
                 d = digits[s]
                 if d is None:
                     if prefix:
@@ -362,7 +351,7 @@ def analytic_value_bins(pdfa: Pdfa, bins: int, max_len: int) -> list[float]:
                     nxt = prefix
                 else:
                     nxt = prefix + (d,)
-                grown[(pdfa.trans[q][s], depth + 1, nxt)] += mass * float(dist.prob(s))
+                grown[(t, depth + 1, nxt)] += mass * prob
         frontier = grown
     if total <= 0:
         raise ValueError("model never completes within max_len")
@@ -372,19 +361,19 @@ def analytic_value_bins(pdfa: Pdfa, bins: int, max_len: int) -> list[float]:
 def analytic_length_pmf(pdfa: Pdfa, max_len: int) -> list[float]:
     """Exact law of completed lengths (0..max_len-1), conditioned on completion."""
     n = pdfa.n_states
+    support = SupportEdges(pdfa)
     alive = [0.0] * n
     alive[pdfa.initial] = 1.0
     pmf = []
     for _ in range(max_len):
         done = 0.0
         nxt = [0.0] * n
-        for q, mass in enumerate(alive):
+        for mass, terminal, edges in zip(alive, support.terminal, support.edges):
             if mass == 0:
                 continue
-            dist = pdfa.dists[q]
-            done += mass * float(dist.terminal_prob)
-            for s in dist.support():
-                nxt[pdfa.trans[q][s]] += mass * float(dist.prob(s))
+            done += mass * terminal
+            for _, p, t in edges:
+                nxt[t] += mass * p
         pmf.append(done)
         alive = nxt
     total = sum(pmf)

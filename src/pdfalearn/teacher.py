@@ -78,14 +78,13 @@ class FilterTeacher(ExactTeacher):
 class PacParams:
     """Sampling-based equivalence parameters.
 
-    Per call number `round` (starting from the configured value), the oracle
-    draws ceil((1/epsilon) * (ln(1/delta) + round * ln 2)) strings.
+    On its i-th call (i = 1, 2, ...), the oracle draws
+    ceil((1/epsilon) * (ln(1/delta) + i * ln 2)) strings.
     """
 
     epsilon: float = 0.05
     delta: float = 0.05
     max_len: int = 50
-    round: int = 1
 
     def __post_init__(self):
         if not 0 < self.epsilon < 1 or not 0 < self.delta < 1:
@@ -112,7 +111,7 @@ class PacTeacher(Teacher):
         self.model = model
         self.params = params
         self._rng = np.random.default_rng(seed)
-        self._round = params.round
+        self._round = 1
 
         def ask(u) -> Optional[Distribution]:
             try:

@@ -1,0 +1,421 @@
+"""Analysis kernels that build each state's successor list once.
+
+`congruence_partition` probes each state's successors from a list built
+before its refinement loop, and `termination_mass` and the exact value and
+length laws read one list of support edges (`SupportEdges`). The loops they
+replaced are kept below as oracles, and on a seeded corpus the kernels must
+give exactly (`==`) their results: the same partitions, quotients, masses,
+laws and errors.
+"""
+
+import collections
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from pdfalearn.automata import (
+    CongruenceMode,
+    GuideAutomaton,
+    Pdfa,
+    StatePartition,
+    congruence_partition,
+    materialize_compose,
+    quotient,
+    reachable_states,
+    termination_mass,
+    trim,
+)
+from pdfalearn.errors import AllZeroError, NonConvergenceError, ParseFailureError
+from pdfalearn.pipeline import analytic_length_pmf, analytic_value_bins, digit_guide, digit_indices
+from pdfalearn.randgen import GenSpec, random_pdfa
+from pdfalearn.simplex import (
+    Alphabet,
+    Distribution,
+    ExactPartitioner,
+    QuantizationPartitioner,
+    TopKPartitioner,
+    TopP,
+    TopR,
+)
+
+PARTITIONERS = (
+    ExactPartitioner(),
+    QuantizationPartitioner(2),
+    QuantizationPartitioner(10),
+    TopKPartitioner(1),
+    TopKPartitioner(3),
+)
+MODES = (CongruenceMode.SUPPORT, CongruenceMode.ALL)
+SHAPES = ((6, 2, 0.0), (12, 3, 0.5), (25, 4, 0.9), (40, 6, 0.7))
+SEEDS = range(15)
+DIGITS = Alphabet(("dot",) + tuple(str(d) for d in range(10)))
+
+
+# --- oracles: the loops the kernels replaced ---
+
+
+def oracle_congruence_partition(pdfa, partitioner, mode=CongruenceMode.SUPPORT):
+    reach = reachable_states(pdfa.trans, pdfa.initial)
+    labels = {}
+    block = {}
+    for q in reach:
+        lab = partitioner.label(pdfa.dists[q])
+        block[q] = labels.setdefault(lab, len(labels))
+
+    m = pdfa.alphabet.size
+    while True:
+        signatures = {}
+        for q in reach:
+            if mode is CongruenceMode.SUPPORT:
+                probe = sorted(pdfa.dists[q].support())
+            else:
+                probe = range(m)
+            sig = (block[q],) + tuple(
+                -1 if pdfa.trans[q][s] is None else block[pdfa.trans[q][s]] for s in probe
+            )
+            signatures[q] = sig
+        fresh = {}
+        new_block = {q: fresh.setdefault(signatures[q], len(fresh)) for q in reach}
+        if len(fresh) == len(set(block.values())):
+            break
+        block = new_block
+
+    members = collections.defaultdict(list)
+    for q in reach:
+        members[block[q]].append(q)
+    ordered = sorted(members.values(), key=min)
+    final = {}
+    for i, states in enumerate(ordered):
+        for q in states:
+            final[q] = i
+    block_of = tuple(final.get(q) for q in range(pdfa.n_states))
+    return StatePartition(block_of, tuple(tuple(sorted(s)) for s in ordered))
+
+
+def oracle_quotient(pdfa, partitioner):
+    sub = trim(pdfa, positive_only=True)
+    part = oracle_congruence_partition(sub, partitioner, CongruenceMode.SUPPORT)
+    dists = []
+    trans = []
+    for states in part.blocks:
+        dist = sub.dists[states[0]]
+        dists.append(dist)
+        support = dist.support()
+        trans.append(tuple(part.block_of[t] if s in support else None for s, t in enumerate(sub.trans[states[0]])))
+    return Pdfa(sub.alphabet, tuple(dists), tuple(trans), 0)
+
+
+def oracle_termination_mass(pdfa, tol=1e-12, max_iter=10**6):
+    n = pdfa.n_states
+    base = [float(d.terminal_prob) for d in pdfa.dists]
+    edges = []
+    for q in range(n):
+        row = []
+        dist = pdfa.dists[q]
+        for s in dist.support():
+            row.append((float(dist.prob(s)), pdfa.trans[q][s]))
+        edges.append(row)
+    x = [0.0] * n
+    for _ in range(max_iter):
+        delta = 0.0
+        new = [0.0] * n
+        for q in range(n):
+            v = base[q]
+            for p, t in edges[q]:
+                v += p * x[t]
+            new[q] = v
+            delta = max(delta, abs(v - x[q]))
+        x = new
+        if delta < tol:
+            return x
+    raise NonConvergenceError(delta, max_iter)
+
+
+def oracle_completion_table(pdfa, max_len):
+    n = pdfa.n_states
+    table = [[0.0] * n]
+    for _ in range(max_len):
+        prev = table[-1]
+        row = []
+        for q in range(n):
+            dist = pdfa.dists[q]
+            v = float(dist.terminal_prob)
+            for s in dist.support():
+                v += float(dist.prob(s)) * prev[pdfa.trans[q][s]]
+            row.append(v)
+        table.append(row)
+    return table
+
+
+def _bin_index(value, bins):
+    return min(int(value * bins), bins - 1)
+
+
+def oracle_analytic_value_bins(pdfa, bins, max_len):
+    depth_needed = None
+    for k in range(1, 7):
+        if (10**k) % bins == 0:
+            depth_needed = k
+            break
+    if depth_needed is None:
+        raise ValueError(f"{bins} equal-width bins do not align with a decimal digit grid")
+    digits = digit_indices(pdfa.alphabet)
+    completes = oracle_completion_table(pdfa, max_len)
+    masses = [0.0] * bins
+    total = 0.0
+    frontier = {(pdfa.initial, 0, ()): 1.0}
+    while frontier:
+        grown = collections.defaultdict(float)
+        for (q, depth, prefix), mass in frontier.items():
+            dist = pdfa.dists[q]
+            if len(prefix) >= depth_needed:
+                value = sum(d * 10.0 ** -(i + 1) for i, d in enumerate(prefix))
+                p = mass * completes[max_len - depth][q]
+                masses[_bin_index(value, bins)] += p
+                total += p
+                continue
+            if depth >= max_len:
+                continue
+            if dist.terminal_prob > 0:
+                value = sum(d * 10.0 ** -(i + 1) for i, d in enumerate(prefix))
+                p = mass * float(dist.terminal_prob)
+                masses[_bin_index(value, bins)] += p
+                total += p
+            for s in dist.support():
+                d = digits[s]
+                if d is None:
+                    if prefix:
+                        raise ParseFailureError(
+                            f"non-digit symbol {pdfa.alphabet.symbols[s]!r} after digits"
+                        )
+                    nxt = prefix
+                else:
+                    nxt = prefix + (d,)
+                grown[(pdfa.trans[q][s], depth + 1, nxt)] += mass * float(dist.prob(s))
+        frontier = grown
+    if total <= 0:
+        raise ValueError("model never completes within max_len")
+    return [m / total for m in masses]
+
+
+def oracle_analytic_length_pmf(pdfa, max_len):
+    n = pdfa.n_states
+    alive = [0.0] * n
+    alive[pdfa.initial] = 1.0
+    pmf = []
+    for _ in range(max_len):
+        done = 0.0
+        nxt = [0.0] * n
+        for q, mass in enumerate(alive):
+            if mass == 0:
+                continue
+            dist = pdfa.dists[q]
+            done += mass * float(dist.terminal_prob)
+            for s in dist.support():
+                nxt[pdfa.trans[q][s]] += mass * float(dist.prob(s))
+        pmf.append(done)
+        alive = nxt
+    total = sum(pmf)
+    if total <= 0:
+        raise ValueError("model never completes within max_len")
+    return [p / total for p in pmf]
+
+
+def outcome(f, *args):
+    """f's result, or the type and message of the error it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # the error itself is part of what must match
+        return type(exc), str(exc)
+
+
+# --- corpus ---
+
+
+def with_unreachable(pdfa, seed, extra):
+    """A copy with states shuffled and `extra` unreachable states added."""
+    rng = np.random.default_rng(seed)
+    n = pdfa.n_states
+    perm = [int(x) for x in rng.permutation(n + extra)]
+    dists = [None] * (n + extra)
+    trans = [None] * (n + extra)
+    for q in range(n + extra):
+        old = q if q < n else int(rng.integers(0, n))
+        dists[perm[q]] = pdfa.dists[old]
+        trans[perm[q]] = tuple(None if t is None else perm[t] for t in pdfa.trans[old])
+    return Pdfa(pdfa.alphabet, tuple(dists), tuple(trans), perm[pdfa.initial])
+
+
+def random_instances():
+    for n, m, theta in SHAPES:
+        for seed in SEEDS:
+            pdfa = random_pdfa(GenSpec(n, m, theta, seed=seed))
+            yield pdfa
+            yield trim(pdfa, positive_only=True)
+            yield with_unreachable(pdfa, seed, extra=1 + seed % 4)
+
+
+def chain(n, seed=0):
+    """`a` advances (the last state loops), `b` resets; only the last state differs."""
+    alphabet = Alphabet(("a", "b"))
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        w = 1.0 - rng.random(3)
+        return Distribution(alphabet, tuple(float(x) for x in w / w.sum()))
+
+    body, last = draw(), draw()
+    return Pdfa(alphabet, (body,) * (n - 1) + (last,), tuple((min(q + 1, n - 1), 0) for q in range(n)))
+
+
+def random_guide(alphabet, seed, n=3):
+    rng = np.random.default_rng(seed)
+    m = alphabet.size
+    masks = [tuple(int(v) for v in (rng.random(m + 1) < 0.7)) for _ in range(n)]
+    delta = [tuple(int(t) for t in rng.integers(0, n, size=m)) for _ in range(n)]
+    return GuideAutomaton(alphabet, tuple(masks), tuple(delta))
+
+
+def digit_composites():
+    """Digit models under the stock digit guide and under random guides."""
+    for seed in range(20):
+        base = random_pdfa(GenSpec(6 + seed % 9, 11, (0.0, 0.3, 0.6)[seed % 3], seed=seed), alphabet=DIGITS)
+        guides = (digit_guide(), random_guide(DIGITS, seed))
+        for guide, strategy in zip(guides * 2, (TopR(6), TopP(0.9), None, TopR(3))):
+            try:
+                yield materialize_compose(base, guide, strategy)
+            except AllZeroError:
+                continue
+
+
+def rational_fixtures(request):
+    names = ("loop_pdfa", "loop_pdfa_top2", "merged_pair_pdfa", "merged_pair_quotient_pdfa", "sync_model_pdfa")
+    pdfas = [request.getfixturevalue(name) for name in names]
+    sync = materialize_compose(request.getfixturevalue("sync_model_pdfa"), request.getfixturevalue("sync_guide"))
+    return pdfas + [sync]
+
+
+# --- congruence partitions and quotients ---
+
+
+@pytest.mark.parametrize("partitioner", PARTITIONERS, ids=lambda p: p.name)
+def test_partition_matches_oracle_on_random_instances(partitioner):
+    unreachable = 0
+    for pdfa in random_instances():
+        for mode in MODES:
+            got = congruence_partition(pdfa, partitioner, mode)
+            assert got == oracle_congruence_partition(pdfa, partitioner, mode)
+            unreachable += got.block_of.count(None)
+        assert quotient(pdfa, partitioner) == oracle_quotient(pdfa, partitioner)
+    assert unreachable > 0
+
+
+def test_partition_matches_oracle_on_rational_fixtures(request):
+    for pdfa in rational_fixtures(request):
+        for partitioner in PARTITIONERS:
+            for mode in MODES:
+                assert congruence_partition(pdfa, partitioner, mode) == oracle_congruence_partition(
+                    pdfa, partitioner, mode
+                )
+            assert quotient(pdfa, partitioner) == oracle_quotient(pdfa, partitioner)
+
+
+def test_partition_matches_oracle_on_digit_composites():
+    count = 0
+    for pdfa in digit_composites():
+        for partitioner in PARTITIONERS:
+            for mode in MODES:
+                assert congruence_partition(pdfa, partitioner, mode) == oracle_congruence_partition(
+                    pdfa, partitioner, mode
+                )
+        count += 1
+    assert count >= 40
+
+
+def test_all_mode_tells_a_missing_transition_from_a_loop():
+    # twins on their supports; only q1 keeps a zero-probability b-transition
+    ab = Alphabet(("a", "b"))
+    dist = Distribution.from_map(ab, {"a": 0.5, "$": 0.5})
+    pdfa = Pdfa(ab, (dist, dist), ((1, None), (0, 1)))
+    for mode, blocks in ((CongruenceMode.SUPPORT, 1), (CongruenceMode.ALL, 2)):
+        got = congruence_partition(pdfa, ExactPartitioner(), mode)
+        assert got == oracle_congruence_partition(pdfa, ExactPartitioner(), mode)
+        assert got.num_blocks == blocks
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 1000])
+def test_partition_matches_oracle_on_chains(n):
+    # full supports: both modes probe every symbol, and refinement takes n rounds
+    pdfa = chain(n, seed=n)
+    got = congruence_partition(pdfa, ExactPartitioner())
+    assert got == oracle_congruence_partition(pdfa, ExactPartitioner())
+    assert got.num_blocks == n
+    assert quotient(pdfa, QuantizationPartitioner(2)) == oracle_quotient(pdfa, QuantizationPartitioner(2))
+
+
+# --- termination mass and the exact laws ---
+
+
+def test_termination_mass_matches_oracle(request):
+    instances = list(random_instances()) + list(digit_composites()) + rational_fixtures(request)
+    for pdfa in instances:
+        assert termination_mass(pdfa) == oracle_termination_mass(pdfa)
+    assert termination_mass(chain(1000)) == oracle_termination_mass(chain(1000))
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 5])
+def test_termination_mass_nonconvergence_matches_oracle(loop_pdfa, max_iter):
+    for pdfa in (loop_pdfa, chain(40)):
+        with pytest.raises(NonConvergenceError) as got:
+            termination_mass(pdfa, max_iter=max_iter)
+        with pytest.raises(NonConvergenceError) as want:
+            oracle_termination_mass(pdfa, max_iter=max_iter)
+        assert (got.value.residual, got.value.iterations) == (want.value.residual, want.value.iterations)
+        assert str(got.value) == str(want.value)
+
+
+def test_termination_mass_without_iterations_reports_nonconvergence(loop_pdfa):
+    # the replaced loop raised UnboundLocalError here
+    with pytest.raises(NonConvergenceError) as err:
+        termination_mass(loop_pdfa, max_iter=0)
+    assert err.value.iterations == 0
+
+
+def test_exact_laws_match_oracle_on_digit_composites():
+    laws = collections.Counter()
+    for pdfa in digit_composites():
+        for max_len in (1, 4, 25):
+            for bins in (10, 3, 1000):
+                got = outcome(analytic_value_bins, pdfa, bins, max_len)
+                assert got == outcome(oracle_analytic_value_bins, pdfa, bins, max_len)
+                laws[got[0].__name__ if isinstance(got, tuple) else "bins"] += 1
+            got = outcome(analytic_length_pmf, pdfa, max_len)
+            assert got == outcome(oracle_analytic_length_pmf, pdfa, max_len)
+    # every path is taken: laws, parse failures, and misaligned bins or
+    # models that never complete in time
+    assert laws["bins"] > 100 and laws["ParseFailureError"] > 10 and laws["ValueError"] > 50
+
+
+def test_exact_laws_match_oracle_on_random_and_rational_instances(request):
+    digits_alphabet = [
+        random_pdfa(GenSpec(n, 11, theta, seed=seed), alphabet=DIGITS)
+        for n, _, theta in SHAPES
+        for seed in SEEDS
+    ]
+    instances = list(random_instances()) + rational_fixtures(request) + digits_alphabet
+    for pdfa in instances:
+        for max_len in (3, 30):
+            assert outcome(analytic_value_bins, pdfa, 10, max_len) == outcome(
+                oracle_analytic_value_bins, pdfa, 10, max_len
+            )
+            assert outcome(analytic_length_pmf, pdfa, max_len) == outcome(
+                oracle_analytic_length_pmf, pdfa, max_len
+            )
+
+
+def test_exact_laws_read_rational_probabilities_as_floats(sync_model_pdfa):
+    assert all(isinstance(p, Fraction) for d in sync_model_pdfa.dists for p in d.probs)
+    pmf = analytic_length_pmf(sync_model_pdfa, 12)
+    assert all(isinstance(p, float) for p in pmf)
+    assert pmf == oracle_analytic_length_pmf(sync_model_pdfa, 12)

@@ -3,7 +3,7 @@
 import pytest
 
 from pdfalearn.automata import Pdfa
-from pdfalearn.errors import ProtocolError, TransportError, VocabMismatchError
+from pdfalearn.errors import ModelFailureError, ProtocolError, TransportError, VocabMismatchError
 from pdfalearn.lmbridge import (
     PdfaTokenModel,
     SymbolMap,
@@ -187,6 +187,27 @@ def test_remote_rejects_unnormalized_payload():
         client = remote_token_model(server.url)
         with pytest.raises(ProtocolError):
             client.next_tokens(())
+
+
+def test_remote_model_error_fails_at_once_with_the_servers_detail():
+    """A 4xx is the model's own answer: no retry, and its detail reaches the caller."""
+
+    class Failing(PdfaTokenModel):
+        calls = 0
+
+        def next_tokens(self, context):
+            Failing.calls += 1
+            raise ValueError("context runs past the model's window → 2 tokens")
+
+    ab = Alphabet(("a", "b"))
+    inner = Pdfa(ab, (Distribution.from_map(ab, {"a": 0.5, "b": 0.5}),), ((0, 0),))
+    with TokenModelServer(Failing(inner)) as server:
+        client = remote_token_model(server.url, retries=3)
+        with pytest.raises(ModelFailureError, match="context runs past the model's window → 2 tokens") as err:
+            client.next_tokens((0, 2))
+    assert Failing.calls == 1
+    assert client.request_count == 1
+    assert "HTTP 400" in str(err.value) and err.value.prefix == (0, 2)
 
 
 def test_remote_transport_error_after_retries():
