@@ -54,14 +54,6 @@ def _write_or_print(text: str, out):
         sys.stdout.write(text)
 
 
-def _load_model(args):
-    """Language model served at --endpoint, with symbols from --symbol-map."""
-    smap = load_symbol_map(args.symbol_map)
-    alphabet = Alphabet(tuple(name for name, _, _ in smap.entries))
-    tm = remote_token_model(args.endpoint, bos=args.bos, eos=args.eos)
-    return symbol_model(tm, smap, alphabet)
-
-
 def cmd_learn(args):
     import time
 
@@ -92,13 +84,16 @@ def cmd_learn(args):
             verified=hk_equiv(learned, quotient(pdfa, partitioner), partitioner) is None,
         )
     else:
-        model = _load_model(args)
-        if args.guide:
-            model = compose(model, fileio.load_guide(args.guide), strategy)
-        params = PacParams(epsilon=args.epsilon, delta=args.delta, max_len=args.max_len)
-        teacher = pac_teacher(model, partitioner, params, seed=args.seed)
-        t0 = time.perf_counter()
-        learned = learn(teacher, partitioner, LearnerConfig(mode=LearnerMode.OMIT_ZERO))
+        # the language model served at --endpoint, with symbols from --symbol-map
+        smap = load_symbol_map(args.symbol_map)
+        with remote_token_model(args.endpoint, bos=args.bos, eos=args.eos) as tm:
+            model = symbol_model(tm, smap, Alphabet(tuple(name for name, _, _ in smap.entries)))
+            if args.guide:
+                model = compose(model, fileio.load_guide(args.guide), strategy)
+            params = PacParams(epsilon=args.epsilon, delta=args.delta, max_len=args.max_len)
+            teacher = pac_teacher(model, partitioner, params, seed=args.seed)
+            t0 = time.perf_counter()
+            learned = learn(teacher, partitioner, LearnerConfig(mode=LearnerMode.OMIT_ZERO))
         record = bench.BenchRecord(
             n=learned.n_states,
             m=learned.alphabet.size,

@@ -6,19 +6,26 @@ nonempty token sequence; the symbol-level view multiplies the model's
 step probabilities along each symbol's tokens and renormalizes, so learners
 and guides can work over a small symbol alphabet regardless of tokenizer
 granularity.
+
+Served models speak a small JSON protocol: POST {"context": [token ids]}
+to ENDPOINT_PATH, answered {"probs": {token id: probability}}, or 4xx with
+{"error": detail}. Connections are HTTP/1.1 and kept alive, one per
+client; a request the server cannot parse is answered 400 and its
+connection closed.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import socket
 import threading
 import time
 from dataclasses import dataclass
+from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
-
-import requests
+from urllib.parse import urlsplit
 
 from .automata import UNSET, LanguageModel, Pdfa, Prefix, next_dist
 from .errors import ModelFailureError, ParseFailureError, ProtocolError, TransportError, VocabMismatchError
@@ -28,6 +35,7 @@ logger = logging.getLogger(__name__)
 
 ENDPOINT_PATH = "/v1/next_token_distribution"
 SUM_TOLERANCE = 1e-6
+MAX_REQUEST_BYTES = 1 << 24
 
 
 class TokenModel:
@@ -222,12 +230,27 @@ def symbol_model(tm: TokenModel, smap: SymbolMap, alphabet: Alphabet) -> SymbolL
 # ---------------------------------------------------------------------------
 
 class RemoteTokenModel(TokenModel):
-    """Client for a served token model; caches one answer per context."""
+    """Client for a served token model; caches one answer per context.
+
+    Requests go over one kept-alive connection, opened on first use and
+    opened again after any transport failure. close() releases it; the
+    client is also a context manager.
+    """
 
     vocab = None
 
     def __init__(self, endpoint: str, bos: int = 0, eos: int = 1, timeout: float = 10.0, retries: int = 3):
         self.endpoint = endpoint.rstrip("/") + ENDPOINT_PATH
+        try:
+            url = urlsplit(self.endpoint)
+            port = url.port
+        except ValueError:  # an unclosed "[" or a port outside 0-65535
+            url = None
+        if url is None or url.scheme not in ("http", "https") or not url.hostname:
+            raise ParseFailureError(f"endpoint {endpoint!r} is not an http:// or https:// URL")
+        connection = HTTPSConnection if url.scheme == "https" else HTTPConnection
+        self._conn = connection(url.hostname, port, timeout=timeout)
+        self._path = url.path
         self.bos = bos
         self.eos = eos
         self.timeout = timeout
@@ -235,28 +258,31 @@ class RemoteTokenModel(TokenModel):
         self.request_count = 0
         self._cache: dict[tuple[int, ...], dict[int, float]] = {}
         self._lock = threading.Lock()
-        self._session = requests.Session()
 
     def _fetch(self, context: tuple[int, ...]) -> dict[int, float]:
         """Ask the server; only connection errors and 5xx answers are retried."""
-        payload = {"context": list(context)}
+        payload = json.dumps({"context": list(context)}).encode()
         last_error = None
         for attempt in range(self.retries):
             if attempt:
                 time.sleep(0.05 * 2 ** (attempt - 1))
             self.request_count += 1
             try:
-                resp = self._session.post(self.endpoint, json=payload, timeout=self.timeout)
-            except requests.RequestException as exc:
+                self._conn.request("POST", self._path, payload, {"Content-Type": "application/json"})
+                resp = self._conn.getresponse()
+                text = resp.read()
+            except (OSError, HTTPException) as exc:
+                self._conn.close()  # the next attempt reconnects
                 last_error = exc
                 continue
-            if resp.status_code >= 500:
-                last_error = f"HTTP {resp.status_code}"
+            if resp.status >= 500:
+                last_error = f"HTTP {resp.status}"
                 continue
-            if resp.status_code != 200:  # the model's own answer: asking again repeats it
-                raise ModelFailureError(context, f"HTTP {resp.status_code}: {resp.text}")
+            if resp.status != 200:  # the model's own answer: asking again repeats it
+                detail = text.decode("utf-8", errors="replace")
+                raise ModelFailureError(context, f"HTTP {resp.status}: {detail}")
             try:
-                body = resp.json()
+                body = json.loads(text)
             except ValueError as exc:
                 raise ProtocolError(f"response is not JSON: {exc}") from exc
             return _validate_probs(body)
@@ -264,13 +290,19 @@ class RemoteTokenModel(TokenModel):
 
     def next_tokens(self, context) -> dict[int, float]:
         context = tuple(context)
-        with self._lock:
-            if context in self._cache:
-                return self._cache[context]
-        probs = self._fetch(context)
-        with self._lock:
-            self._cache[context] = probs
-        return probs
+        with self._lock:  # one exchange at a time on the shared connection
+            if context not in self._cache:
+                self._cache[context] = self._fetch(context)
+            return self._cache[context]
+
+    def close(self):
+        self._conn.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
 
 def _validate_probs(body) -> dict[int, float]:
@@ -298,33 +330,72 @@ def remote_token_model(
     return RemoteTokenModel(endpoint, bos, eos, timeout, retries)
 
 
+def _read_context(headers, rfile) -> tuple[int, ...]:
+    """The token context a request asks about; ValueError or RecursionError if it is malformed."""
+    length = int(headers.get("Content-Length", "0"))
+    if not 0 <= length <= MAX_REQUEST_BYTES:  # the body buffer is allocated up front
+        raise ValueError(f"Content-Length {length} is outside 0..{MAX_REQUEST_BYTES}")
+    body = json.loads(rfile.read(length))
+    context = body.get("context") if isinstance(body, dict) else None
+    if not isinstance(context, list) or not all(type(t) is int for t in context):
+        raise ValueError("'context' must be a list of integer token ids")
+    return tuple(context)
+
+
 class TokenModelServer:
-    """Threaded HTTP server exposing a TokenModel over the wire protocol."""
+    """Threaded HTTP/1.1 server exposing a TokenModel over the wire protocol.
+
+    Connections are kept alive between requests. A request the server
+    cannot parse is answered 400 and its connection closed, since the rest
+    of that stream cannot be trusted; so is a 404. stop() also ends the
+    kept-alive connections that are still open.
+    """
 
     def __init__(self, model: TokenModel, host: str = "127.0.0.1", port: int = 0):
         self.model = model
+        self._connections: set[socket.socket] = set()
+        self._lock = threading.Lock()
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+            # headers and body go out in two writes; with Nagle's algorithm
+            # on, the second waits for the client's delayed ACK
+            disable_nagle_algorithm = True
+
+            def setup(self):
+                super().setup()
+                with outer._lock:
+                    outer._connections.add(self.connection)
+
+            def finish(self):
+                with outer._lock:
+                    outer._connections.discard(self.connection)
+                super().finish()
+
             def do_POST(self):  # noqa: N802 (stdlib naming)
                 if self.path != ENDPOINT_PATH:
-                    self.send_error(404)
+                    self.send_error(404)  # closes the connection: the body is left unread
                     return
-                length = int(self.headers.get("Content-Length", "0"))
                 try:
-                    body = json.loads(self.rfile.read(length))
-                    context = tuple(int(t) for t in body["context"])
+                    context = _read_context(self.headers, self.rfile)
+                except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+                    self._reply(400, {"error": f"bad request: {type(exc).__name__}: {exc}"}, close=True)
+                    return
+                try:
                     probs = outer.model.next_tokens(context)
                 except Exception as exc:  # surface model errors as HTTP 400
                     self._reply(400, {"error": f"{type(exc).__name__}: {exc}"})
                     return
                 self._reply(200, {"probs": {str(t): p for t, p in probs.items()}})
 
-            def _reply(self, status: int, body: dict):
+            def _reply(self, status: int, body: dict, close: bool = False):
                 payload = json.dumps(body, ensure_ascii=False).encode()
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(payload)))
+                if close:
+                    self.send_header("Connection", "close")
                 self.end_headers()
                 self.wfile.write(payload)
 
@@ -347,6 +418,12 @@ class TokenModelServer:
     def stop(self):
         self._server.shutdown()
         self._server.server_close()
+        with self._lock:
+            for conn in self._connections:
+                try:
+                    conn.shutdown(socket.SHUT_RDWR)  # wakes its handler with end of stream
+                except OSError:
+                    pass
         if self._thread is not None:
             self._thread.join(timeout=5)
 

@@ -389,8 +389,7 @@ def test_criterion_9_hermetic_llm_pipeline(tmp_path):
             if len(u) < 6:
                 stack.extend(u + (sym,) for sym in want.support())
 
-    with TokenModelServer(tm) as server:
-        remote = remote_token_model(server.url, bos=tm.bos, eos=tm.eos)
+    with TokenModelServer(tm) as server, remote_token_model(server.url, bos=tm.bos, eos=tm.eos) as remote:
         model = symbol_model(remote, smap_loaded, symbols)
         teacher = pac_teacher(
             model, EXACT, PacParams(epsilon=0.02, delta=0.02, max_len=30), seed=13

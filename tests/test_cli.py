@@ -193,6 +193,20 @@ def test_learn_from_endpoint_rejects_other_modes(tmp_path, capsys):
     assert "omit-zero" in err["detail"]
 
 
+def test_learn_from_endpoint_without_a_scheme_is_a_json_error(tmp_path, capsys):
+    """An endpoint that is not an http(s) URL ends as a package error, not a traceback."""
+    from pdfalearn import errors
+    from pdfalearn.lmbridge import SymbolMap, save_symbol_map
+
+    smap_path = tmp_path / "map.tsv"
+    save_symbol_map(SymbolMap((("a", "a", (2,)), ("b", "b", (3,)))), smap_path)
+    rc = main(["learn", "--endpoint", "localhost:8321", "--symbol-map", str(smap_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert issubclass(getattr(errors, err["error"]), errors.PdfaError)
+    assert "localhost:8321" in err["detail"]
+
+
 def test_bench_records_failed_runs(monkeypatch):
     """A failed run carries its error and stays out of the medians."""
     from pdfalearn import bench

@@ -161,8 +161,7 @@ def test_symbol_map_duplicate_sequences_logged(caplog):
 
 def test_remote_round_trip_and_cache(token_target):
     tm = pdfa_token_model(token_target)
-    with TokenModelServer(tm) as server:
-        client = remote_token_model(server.url)
+    with TokenModelServer(tm) as server, remote_token_model(server.url) as client:
         first = client.next_tokens(())
         assert first == tm.next_tokens(())
         before = client.request_count
@@ -183,8 +182,7 @@ def test_remote_rejects_unnormalized_payload():
         (Distribution.from_map(ab, {"a": 0.5, "b": 0.5}),),
         ((0, 0),),
     )
-    with TokenModelServer(Broken(inner)) as server:
-        client = remote_token_model(server.url)
+    with TokenModelServer(Broken(inner)) as server, remote_token_model(server.url) as client:
         with pytest.raises(ProtocolError):
             client.next_tokens(())
 
@@ -202,18 +200,18 @@ def test_remote_model_error_fails_at_once_with_the_servers_detail():
     ab = Alphabet(("a", "b"))
     inner = Pdfa(ab, (Distribution.from_map(ab, {"a": 0.5, "b": 0.5}),), ((0, 0),))
     with TokenModelServer(Failing(inner)) as server:
-        client = remote_token_model(server.url, retries=3)
-        with pytest.raises(ModelFailureError, match="context runs past the model's window → 2 tokens") as err:
-            client.next_tokens((0, 2))
+        with remote_token_model(server.url, retries=3) as client:
+            with pytest.raises(ModelFailureError, match="context runs past the model's window → 2 tokens") as err:
+                client.next_tokens((0, 2))
     assert Failing.calls == 1
     assert client.request_count == 1
     assert "HTTP 400" in str(err.value) and err.value.prefix == (0, 2)
 
 
 def test_remote_transport_error_after_retries():
-    client = remote_token_model("http://127.0.0.1:9", retries=2, timeout=0.2)
-    with pytest.raises(TransportError):
-        client.next_tokens(())
+    with remote_token_model("http://127.0.0.1:9", retries=2, timeout=0.2) as client:
+        with pytest.raises(TransportError):
+            client.next_tokens(())
 
 
 def test_learning_through_fresh_clients_is_cache_transparent(token_target):
@@ -229,12 +227,88 @@ def test_learning_through_fresh_clients_is_cache_transparent(token_target):
     counts = []
     with TokenModelServer(tm) as server:
         for _ in range(2):
-            client = remote_token_model(server.url)
-            model = symbol_model(client, smap, token_target.alphabet)
-            teacher = pac_teacher(
-                model, ExactPartitioner(), PacParams(epsilon=0.05, delta=0.05, max_len=20), seed=2
-            )
-            results.append(learn(teacher, ExactPartitioner()))
-            counts.append((teacher.mq_count, teacher.eq_count))
+            with remote_token_model(server.url) as client:
+                model = symbol_model(client, smap, token_target.alphabet)
+                teacher = pac_teacher(
+                    model, ExactPartitioner(), PacParams(epsilon=0.05, delta=0.05, max_len=20), seed=2
+                )
+                results.append(learn(teacher, ExactPartitioner()))
+                counts.append((teacher.mq_count, teacher.eq_count))
     assert isomorphic(results[0], results[1])
     assert counts[0] == counts[1]
+
+
+def test_remote_requests_share_one_kept_alive_connection(token_target):
+    tm = pdfa_token_model(token_target)
+    server = TokenModelServer(tm)
+    accepted = []
+    process_request = server._server.process_request
+
+    def counting(request, client_address):
+        accepted.append(client_address)
+        process_request(request, client_address)
+
+    server._server.process_request = counting
+    with server, remote_token_model(server.url) as client:
+        for k in range(20):
+            assert client.next_tokens((2,) * k) == tm.next_tokens((2,) * k)
+    assert client.request_count == 20
+    assert len(accepted) == 1
+
+
+def test_remote_client_reconnects_after_the_server_drops_its_connection(token_target):
+    """A kept-alive connection that the server dropped costs one retry, not a failure."""
+    tm = pdfa_token_model(token_target)
+    first = TokenModelServer(tm)
+    port = first._server.server_address[1]
+    with remote_token_model(first.url) as client:
+        with first:
+            assert client.next_tokens(()) == tm.next_tokens(())
+        with TokenModelServer(tm, port=port):
+            assert client.next_tokens((2,)) == tm.next_tokens((2,))
+    assert client.request_count == 3  # one request, then a failed attempt and its retry
+
+
+def _raw_exchange(url: str, request: bytes) -> tuple[int, dict, bytes]:
+    """Send raw bytes and read until the server closes: status, headers, body."""
+    import socket
+
+    host, port = url.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=2) as sock:
+        sock.sendall(request)
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.lower().split(": ", 1) for line in lines[1:])
+    return int(lines[0].split()[1]), headers, body
+
+
+@pytest.mark.parametrize(
+    "content_length, body",
+    [
+        pytest.param(None, b'{"context": "23"}', id="string-context"),  # would iterate into digits
+        pytest.param(None, b'{"context": [2, "3"]}', id="string-token"),
+        pytest.param(None, b'{"context": [2.5]}', id="float-token"),
+        pytest.param(None, b"[" * 100_000 + b"]" * 100_000, id="nested-past-json-depth"),
+        pytest.param("-1", b'{"context": []}', id="negative-length"),  # read(-1) waits for hang-up
+        pytest.param("12abc", b'{"context": []}', id="non-integer-length"),
+        pytest.param(str(1 << 62), b'{"context": []}', id="unallocatable-length"),
+    ],
+)
+def test_server_answers_a_malformed_request_400_and_closes(token_target, content_length, body):
+    import json
+
+    from pdfalearn.lmbridge import ENDPOINT_PATH
+
+    length = str(len(body)) if content_length is None else content_length
+    request = (
+        f"POST {ENDPOINT_PATH} HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n"
+        f"Content-Length: {length}\r\n\r\n"
+    ).encode() + body
+    with TokenModelServer(pdfa_token_model(token_target)) as server:
+        status, headers, reply = _raw_exchange(server.url, request)
+    assert status == 400
+    assert headers.get("connection") == "close"
+    assert "error" in json.loads(reply)
