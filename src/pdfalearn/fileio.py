@@ -1,16 +1,17 @@
-"""Text formats for automata, guides, and symbol maps.
+"""Text formats for automata and guides.
 
 Probabilities serialize as `p/q` rationals (kept exact) or shortest
-round-trip decimals, so files reload bit-exactly.
+round-trip decimals, so files reload bit-exactly. Both formats share one
+header and one reader.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, NoReturn, Optional
 
 from .automata import GuideAutomaton, Pdfa
-from .errors import NondeterministicSpecError, ParseFailureError, PdfaError
+from .errors import NondeterministicSpecError, ParseFailureError
 from .simplex import Alphabet, Distribution
 
 
@@ -22,19 +23,113 @@ def _format_number(x) -> str:
     return repr(float(x))
 
 
-def _parse_number(text: str):
-    if "/" in text:
-        num, _, den = text.partition("/")
+def _header_lines(kind: str, alphabet: Alphabet, n_states: int, initial: int) -> list[str]:
+    return [f"# {kind} v1", "alphabet " + " ".join(alphabet.symbols),
+            f"terminal {alphabet.terminal}", f"states {n_states}", f"initial {initial}"]
+
+
+class _Reader:
+    """The line grammar that the .pdfa and guide formats share.
+
+    A header of `alphabet`, `terminal`, `states` and `initial` lines, in any
+    order, ends at the first other line. Then `state Q` opens the record of
+    state Q: its `state` line, a vector over `slots` (the symbols, then the
+    terminal) and a row over `symbols`, which become `vector` and `row`.
+    Each other line `kind ...` calls body[kind](reader, parts). State
+    indices are checked against `states` as they are read, and only states
+    with a `state` line get a record; `records` lists them in state order.
+    Every error is a ParseFailureError that starts with `source:line`.
+    """
+
+    def __init__(self, text: str, source: str, body: dict[str, Callable[["_Reader", list[str]], None]]):
+        self.source, self.lineno = source, 0
+        self.alphabet: Optional[Alphabet] = None
+        self.vector = self.row = None  # those of the state being read
+        self._header: dict[str, tuple[int, list[str]]] = {}
+        self._opened: dict[int, tuple[int, list, list]] = {}
+        handlers = {**body, "state": _Reader._open}
+        for self.lineno, line in enumerate(text.splitlines(), 1):
+            parts = line.split()
+            if not parts or parts[0][0] == "#":
+                continue
+            handler = handlers.get(parts[0])
+            if handler is None:  # a header line, or an unknown one
+                kind = parts[0]
+                if kind not in ("alphabet", "terminal", "states", "initial"):
+                    self.fail(f"unknown directive {kind!r}")
+                if self.alphabet is not None:
+                    self.fail(f"`{kind}` after the header")
+                if kind != "alphabet" and len(parts) != 2:
+                    self.fail(f"`{kind}` takes one argument")
+                self._header[kind] = (self.lineno, parts[1:])
+                continue
+            if self.alphabet is None:
+                self._close()
+            try:
+                handler(self, parts)
+            except KeyError as exc:  # from a look-up in symbols or slots
+                self.fail(f"unknown symbol {exc.args[0]!r}")
+        if self.alphabet is None:
+            self._close()
+        try:  # every opened state is in range, so this stops at the first gap
+            self.records = [self._opened[q] for q in range(self.n_states)]
+        except KeyError as exc:
+            self.fail(f"state {exc.args[0]} has no `state` line")
+
+    def fail(self, message: str) -> NoReturn:
+        raise ParseFailureError(f"{self.source}:{self.lineno}: {message}")
+
+    def integer(self, token: str, states: Optional[int] = None) -> int:
+        """`token` as an int; given `states`, as a state index below it."""
         try:
-            return Fraction(int(num), int(den))
+            q = int(token)
+        except ValueError:
+            self.fail(f"bad integer {token!r}")
+        if states is not None and not 0 <= q < states:
+            self.fail(f"state {q} is out of range for `states {states}`")
+        return q
+
+    def number(self, token: str):
+        """`p/q` as a Fraction, a decimal as a float, anything else as an int."""
+        try:
+            if "/" in token:
+                return Fraction(*map(int, token.split("/", 1)))
+            if "." in token or "e" in token or "E" in token:
+                return float(token)
+            return int(token)
         except (ValueError, ZeroDivisionError):
-            raise ParseFailureError(f"bad rational {text!r}") from None
-    try:
-        if "." not in text and "e" not in text and "E" not in text:
-            return int(text)
-        return float(text)
-    except ValueError:
-        raise ParseFailureError(f"bad number {text!r}") from None
+            self.fail(f"bad number {token!r}")
+
+    def build(self, make: Callable, *args):
+        """make(*args), with a ValueError from its checks as a failure at this line."""
+        try:
+            return make(*args)
+        except ValueError as exc:
+            self.fail(str(exc))
+
+    def _open(self, parts: list[str]) -> None:
+        if len(parts) != 2:
+            self.fail("`state` takes one argument")
+        q = self.integer(parts[1], self.n_states)
+        if q not in self._opened:
+            self._opened[q] = (self.lineno, [0] * len(self.slots), [None] * len(self.symbols))
+        _, self.vector, self.row = self._opened[q]
+
+    def _close(self) -> None:
+        """Build the alphabet and check `states` and `initial`."""
+        at, header = self.lineno, self._header
+        if "alphabet" not in header or "states" not in header:
+            self.fail("the header needs `alphabet` and `states` lines")
+        self.lineno, names = header["alphabet"]
+        terminal = header.get("terminal", (0, ()))[1]  # empty: Alphabet's default
+        self.alphabet = self.build(Alphabet, tuple(names), *terminal)
+        self.symbols = {name: s for s, name in enumerate(names)}
+        self.slots = {**self.symbols, self.alphabet.terminal: len(names)}
+        self.lineno, (count,) = header["states"]
+        self.n_states = self.integer(count)
+        self.lineno, (q,) = header.get("initial", (self.lineno, ("0",)))
+        self.initial = self.integer(q, self.n_states)
+        self.lineno = at
 
 
 def save_pdfa(pdfa: Pdfa, path):
@@ -44,22 +139,12 @@ def save_pdfa(pdfa: Pdfa, path):
 
 def format_pdfa(pdfa: Pdfa) -> str:
     a = pdfa.alphabet
-    lines = [
-        "# pdfa v1",
-        "alphabet " + " ".join(a.symbols),
-        f"terminal {a.terminal}",
-        f"states {pdfa.n_states}",
-        f"initial {pdfa.initial}",
-    ]
-    for q in range(pdfa.n_states):
+    lines = _header_lines("pdfa", a, pdfa.n_states, pdfa.initial)
+    slots = (*a.symbols, a.terminal)
+    for q, (dist, row) in enumerate(zip(pdfa.dists, pdfa.trans)):
         lines.append(f"state {q}")
-        dist = pdfa.dists[q]
-        for s, name in enumerate(a.symbols):
-            lines.append(f"dist {name} {_format_number(dist.prob(s))}")
-        lines.append(f"dist {a.terminal} {_format_number(dist.terminal_prob)}")
-        for s, name in enumerate(a.symbols):
-            target = pdfa.trans[q][s]
-            lines.append(f"trans {name} {'UNDEF' if target is None else target}")
+        lines += (f"dist {name} {_format_number(p)}" for name, p in zip(slots, dist.probs))
+        lines += (f"trans {name} {'UNDEF' if t is None else t}" for name, t in zip(a.symbols, row))
     return "\n".join(lines) + "\n"
 
 
@@ -69,156 +154,63 @@ def load_pdfa(path) -> Pdfa:
 
 
 def parse_pdfa(text: str, source: str = "<string>") -> Pdfa:
-    symbols: tuple[str, ...] = ()
-    terminal = "$"
-    n_states = None
-    initial = 0
-    alphabet = None
-    dists: list[dict[str, object]] = []
-    trans: list[dict[str, object]] = []
-    current = None
+    def dist(r, parts):
+        if r.vector is None or len(parts) != 3:
+            r.fail("expected `dist SYMBOL PROBABILITY` inside a state")
+        r.vector[r.slots[parts[1]]] = r.number(parts[2])
 
-    def fail(lineno, message):
-        raise ParseFailureError(f"{source}:{lineno}: {message}")
+    def trans(r, parts):
+        if r.row is None or len(parts) != 3:
+            r.fail("expected `trans SYMBOL TARGET|UNDEF` inside a state")
+        r.row[r.symbols[parts[1]]] = None if parts[2] == "UNDEF" else r.integer(parts[2], r.n_states)
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        kind = parts[0]
-        if kind == "alphabet":
-            symbols = tuple(parts[1:])
-        elif kind == "terminal":
-            if len(parts) != 2:
-                fail(lineno, "terminal takes one name")
-            terminal = parts[1]
-        elif kind == "states":
-            n_states = int(parts[1])
-        elif kind == "initial":
-            initial = int(parts[1])
-        elif kind == "state":
-            current = int(parts[1])
-            while len(dists) <= current:
-                dists.append({})
-                trans.append({})
-        elif kind == "dist":
-            if current is None or len(parts) != 3:
-                fail(lineno, "dist outside a state or malformed")
-            dists[current][parts[1]] = _parse_number(parts[2])
-        elif kind == "trans":
-            if current is None or len(parts) != 3:
-                fail(lineno, "trans outside a state or malformed")
-            trans[current][parts[1]] = None if parts[2] == "UNDEF" else int(parts[2])
-        else:
-            fail(lineno, f"unknown directive {kind!r}")
-    if not symbols or n_states is None:
-        raise ParseFailureError(f"{source}: missing alphabet or states directive")
-    if len(dists) != n_states:
-        raise ParseFailureError(f"{source}: saw {len(dists)} states, expected {n_states}")
-    try:
-        alphabet = Alphabet(symbols, terminal)
-        built_dists = tuple(Distribution.from_map(alphabet, d) for d in dists)
-        built_trans = tuple(
-            tuple(t.get(name) for name in symbols) for t in trans
-        )
-        return Pdfa(alphabet, built_dists, built_trans, initial)
-    except ParseFailureError:
-        raise
-    except (ValueError, KeyError, PdfaError) as exc:
-        raise ParseFailureError(f"{source}: {exc}") from exc
+    r = _Reader(text, source, {"dist": dist, "trans": trans})
+    dists = [r.build(Distribution, r.alphabet, probs) for r.lineno, probs, _ in r.records]
+    for q, (r.lineno, _, row) in enumerate(r.records):
+        if None in row and any(row[s] is None for s in dists[q].support()):
+            r.fail(f"state {q} gives positive probability to a symbol without a transition")
+    return r.build(Pdfa, r.alphabet, tuple(dists), tuple(tuple(row) for _, _, row in r.records), r.initial)
 
 
-def guide_from_spec(text: str) -> GuideAutomaton:
-    """Parse the guide format (see save_guide_spec) into an automaton.
-
-    Missing transitions lead to an implicit dead state with an all-zero
-    mask; duplicate (state, symbol) transitions are rejected.
-    """
-    alphabet: Optional[Alphabet] = None
-    terminal = "$"
-    n_states = None
-    initial = 0
-    allows: dict[int, list[str]] = {}
+def guide_from_spec(text: str, source: str = "<string>") -> GuideAutomaton:
+    """Parse the guide format (see save_guide_spec). Missing transitions lead to
+    an implicit dead state with an all-zero mask; a repeated one is rejected."""
     edges: dict[tuple[int, int], int] = {}
-    symbols: tuple[str, ...] = ()
-    current = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        kind = parts[0]
-        try:
-            if kind == "alphabet":
-                symbols = tuple(parts[1:])
-            elif kind == "terminal":
-                terminal = parts[1]
-            elif kind == "states":
-                n_states = int(parts[1])
-            elif kind == "initial":
-                initial = int(parts[1])
-            elif kind == "state":
-                current = int(parts[1])
-                allows.setdefault(current, [])
-            elif kind == "allow":
-                if current is None:
-                    raise ParseFailureError(f"line {lineno}: allow before any state")
-                allows[current].extend(parts[1:])
-            elif kind == "trans":
-                alphabet = alphabet or Alphabet(symbols, terminal)
-                src, name, dst = int(parts[1]), parts[2], int(parts[3])
-                key = (src, alphabet.index(name))
-                if key in edges:
-                    raise NondeterministicSpecError(
-                        f"line {lineno}: duplicate transition for state {src} symbol {name!r}"
-                    )
-                edges[key] = dst
-            else:
-                raise ParseFailureError(f"line {lineno}: unknown directive {kind!r}")
-        except (IndexError, ValueError) as exc:
-            raise ParseFailureError(f"line {lineno}: {exc}") from None
-    if not symbols or n_states is None:
-        raise ParseFailureError("guide needs `alphabet` and `states` directives")
-    alphabet = alphabet or Alphabet(symbols, terminal)
-    m = alphabet.size
-    dead = n_states  # implicit sink for unspecified transitions
-    masks = []
-    delta = []
-    for q in range(n_states):
-        mask = [0] * (m + 1)
-        for name in allows.get(q, []):
-            idx = m if name == alphabet.terminal else alphabet.index(name)
-            mask[idx] = 1
-        masks.append(tuple(mask))
-        delta.append(tuple(edges.get((q, s), dead) for s in range(m)))
-    used_dead = any(dead in row for row in delta)
-    if used_dead:
-        masks.append(tuple([0] * (m + 1)))
-        delta.append(tuple(dead for _ in range(m)))
-    return GuideAutomaton(alphabet, tuple(masks), tuple(delta), initial)
+
+    def allow(r, parts):
+        if r.vector is None:
+            r.fail("`allow` outside a state")
+        for name in parts[1:]:
+            r.vector[r.slots[name]] = 1
+
+    def trans(r, parts):
+        if len(parts) != 4:
+            r.fail("expected `trans SOURCE SYMBOL TARGET`")
+        key = (r.integer(parts[1], r.n_states), r.symbols[parts[2]])
+        if key in edges:
+            raise NondeterministicSpecError(f"{source}:{r.lineno}: a second transition for {key[0]} {parts[2]!r}")
+        edges[key] = r.integer(parts[3], r.n_states)
+
+    r = _Reader(text, source, {"allow": allow, "trans": trans})
+    m, dead = r.alphabet.size, r.n_states  # dead: implicit sink for unspecified transitions
+    masks = [tuple(mask) for _, mask, _ in r.records]
+    delta = [tuple(edges.get((q, s), dead) for s in range(m)) for q in range(dead)]
+    if any(dead in row for row in delta):
+        masks, delta = masks + [(0,) * (m + 1)], delta + [(dead,) * m]
+    return r.build(GuideAutomaton, r.alphabet, tuple(masks), tuple(delta), r.initial)
 
 
 def save_guide_spec(guide: GuideAutomaton) -> str:
     """Serialize a guide in the format accepted by guide_from_spec."""
-    lines = [
-        "# guide v1",
-        "alphabet " + " ".join(guide.alphabet.symbols),
-        f"terminal {guide.alphabet.terminal}",
-        f"states {guide.n_states}",
-        f"initial {guide.initial}",
-    ]
-    m = guide.alphabet.size
-    for q in range(guide.n_states):
+    a = guide.alphabet
+    lines = _header_lines("guide", a, guide.n_states, guide.initial)
+    for q, mask in enumerate(guide.masks):
         lines.append(f"state {q}")
-        allowed = [guide.alphabet.symbols[s] for s in range(m) if guide.masks[q][s]]
-        if guide.masks[q][m]:
-            allowed.append(guide.alphabet.terminal)
+        allowed = [name for name, bit in zip((*a.symbols, a.terminal), mask) if bit]
         if allowed:
             lines.append("allow " + " ".join(allowed))
-    for q in range(guide.n_states):
-        for s in range(m):
-            lines.append(f"trans {q} {guide.alphabet.symbols[s]} {guide.delta[q][s]}")
+    for q, row in enumerate(guide.delta):
+        lines += (f"trans {q} {name} {t}" for name, t in zip(a.symbols, row))
     return "\n".join(lines) + "\n"
 
 
@@ -229,4 +221,4 @@ def save_guide(guide: GuideAutomaton, path):
 
 def load_guide(path) -> GuideAutomaton:
     with open(path, encoding="utf-8") as fh:
-        return guide_from_spec(fh.read())
+        return guide_from_spec(fh.read(), source=str(path))

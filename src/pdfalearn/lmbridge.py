@@ -134,8 +134,9 @@ def identity_symbol_map(alphabet: Alphabet, token_ids: Optional[list[int]] = Non
 
 
 def load_symbol_map(path) -> SymbolMap:
-    """Read `symbol<TAB>chars<TAB>comma-separated token ids` lines."""
-    entries = []
+    """Read `symbol<TAB>chars<TAB>comma-separated token ids` lines. Each symbol
+    becomes an alphabet name: one word, unique, and not the terminal `$`."""
+    entries = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -144,14 +145,16 @@ def load_symbol_map(path) -> SymbolMap:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise ParseFailureError(f"{path}:{lineno}: expected 3 tab-separated fields")
+            if parts[0].split() != [parts[0]] or parts[0] == "$" or parts[0] in entries:
+                raise ParseFailureError(f"{path}:{lineno}: bad or repeated symbol name {parts[0]!r}")
             try:
                 tokens = tuple(int(x) for x in parts[2].split(","))
             except ValueError:
                 raise ParseFailureError(f"{path}:{lineno}: bad token id list {parts[2]!r}") from None
-            entries.append((parts[0], parts[1], tokens))
+            entries[parts[0]] = (parts[0], parts[1], tokens)
     if not entries:
         raise ParseFailureError(f"{path}: no symbol entries")
-    return SymbolMap(tuple(entries))
+    return SymbolMap(tuple(entries.values()))
 
 
 def save_symbol_map(smap: SymbolMap, path):
@@ -315,11 +318,11 @@ def _validate_probs(body) -> dict[int, float]:
             p = float(value)
         except (TypeError, ValueError):
             raise ProtocolError(f"bad probability entry {key!r}: {value!r}") from None
-        if p < 0:
-            raise ProtocolError(f"negative probability for token {token}")
+        if not p >= 0:  # written so that NaN fails it
+            raise ProtocolError(f"probability {p!r} for token {token} is negative or NaN")
         out[token] = p
     total = sum(out.values())
-    if abs(total - 1.0) > SUM_TOLERANCE:
+    if not abs(total - 1.0) <= SUM_TOLERANCE:
         raise ProtocolError(f"probabilities sum to {total!r}, not 1")
     return out
 
@@ -411,7 +414,8 @@ class TokenModelServer:
         return f"http://{host}:{port}"
 
     def start(self) -> str:
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # poll_interval 0.01 s, since stop() waits for serve_forever to see the shutdown
+        self._thread = threading.Thread(target=self._server.serve_forever, args=(0.01,), daemon=True)
         self._thread.start()
         return self.url
 

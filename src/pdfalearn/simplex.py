@@ -80,10 +80,10 @@ class Distribution:
         probs = tuple(probs)
         if len(probs) != alphabet.size + 1:
             raise ValueError(f"expected {alphabet.size + 1} entries, got {len(probs)}")
-        if any(p < 0 for p in probs):
+        if any(not p >= 0 for p in probs):  # written so that NaN fails it
             raise ValueError("probabilities must be nonnegative")
         total = sum(probs)
-        if abs(total - 1) > SUM_TOLERANCE:
+        if not abs(total - 1) <= SUM_TOLERANCE:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "probs", probs)

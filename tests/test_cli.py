@@ -225,3 +225,14 @@ def test_bench_records_failed_runs(monkeypatch):
     assert failed.error == "QueryBudgetExceededError: budget spent"
     assert failed.to_row().endswith("\tQueryBudgetExceededError: budget spent")
     assert bench.median_mq_by([ok, failed]) == {(8, "omit-zero"): ok.mq_count}
+
+
+def test_learn_with_a_repeated_symbol_name_is_a_json_error(tmp_path, capsys):
+    """A symbol map naming a symbol twice fails before anything is asked of the endpoint."""
+    smap_path = tmp_path / "dup.map"
+    smap_path.write_text("a\ta\t2\nb\tb\t3\na\tA\t4\n")
+    rc = main(["learn", "--endpoint", "http://127.0.0.1:9", "--symbol-map", str(smap_path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseFailureError"
+    assert err["detail"] == f"{smap_path}:3: bad or repeated symbol name 'a'"

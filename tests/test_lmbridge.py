@@ -1,9 +1,11 @@
 """Token models, symbol maps, the token-product bridge, and the wire protocol."""
 
+import re
+
 import pytest
 
 from pdfalearn.automata import Pdfa
-from pdfalearn.errors import ModelFailureError, ProtocolError, TransportError, VocabMismatchError
+from pdfalearn.errors import ModelFailureError, ParseFailureError, ProtocolError, TransportError, VocabMismatchError
 from pdfalearn.lmbridge import (
     PdfaTokenModel,
     SymbolMap,
@@ -151,6 +153,17 @@ def test_symbol_map_round_trip(tmp_path):
     assert load_symbol_map(path) == smap
 
 
+@pytest.mark.parametrize(
+    "line, name",
+    [("a\tb\t4", "'a'"), ("$\tend\t4", "'$'"), ("\tnone\t4", "''"), ("c d\tcd\t4", "'c d'")],
+)
+def test_symbol_map_rejects_names_that_are_not_alphabet_symbols(tmp_path, line, name):
+    path = tmp_path / "map.tsv"
+    path.write_text("# symbol map\na\ta\t2\nb\tb\t3\n" + line + "\n")
+    with pytest.raises(ParseFailureError, match=rf"^{re.escape(str(path))}:4: bad or repeated symbol name {re.escape(name)}$"):
+        load_symbol_map(path)
+
+
 def test_symbol_map_duplicate_sequences_logged(caplog):
     with caplog.at_level("WARNING", logger="pdfalearn.lmbridge"):
         SymbolMap((("x", "x", (2,)), ("y", "y", (2,))))
@@ -184,6 +197,17 @@ def test_remote_rejects_unnormalized_payload():
     )
     with TokenModelServer(Broken(inner)) as server, remote_token_model(server.url) as client:
         with pytest.raises(ProtocolError):
+            client.next_tokens(())
+
+
+@pytest.mark.parametrize("probs", [{2: float("nan"), 3: 0.5, 1: 0.5}, {2: float("nan"), 3: 1.0}])
+def test_remote_rejects_nan_probabilities(token_target, probs):
+    class Nan(PdfaTokenModel):
+        def next_tokens(self, context):
+            return probs
+
+    with TokenModelServer(Nan(token_target)) as server, remote_token_model(server.url) as client:
+        with pytest.raises(ProtocolError, match="NaN"):
             client.next_tokens(())
 
 

@@ -45,6 +45,14 @@ def test_distribution_validates_sum_and_sign():
         Distribution(AB, (1.2, -0.2, 0.0))
 
 
+def test_distribution_rejects_nan():
+    nan = float("nan")
+    with pytest.raises(ValueError):
+        Distribution(AB, (nan, 1.0, 0.0))
+    with pytest.raises(ValueError):
+        Distribution(AB, (nan, nan, nan))
+
+
 def test_support_excludes_terminal():
     assert d({"a": 0.6, "b": 0.0, "$": 0.4}).support() == {0}
     assert d({"$": 1}).support() == frozenset()
