@@ -148,9 +148,17 @@ def format_pdfa(pdfa: Pdfa) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_text(path) -> str:
+    """The UTF-8 text of a file; one that cannot be opened or decoded is a ParseFailureError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseFailureError(f"{path}: cannot read: {exc}") from exc
+
+
 def load_pdfa(path) -> Pdfa:
-    with open(path, encoding="utf-8") as fh:
-        return parse_pdfa(fh.read(), source=str(path))
+    return parse_pdfa(read_text(path), source=str(path))
 
 
 def parse_pdfa(text: str, source: str = "<string>") -> Pdfa:
@@ -220,5 +228,4 @@ def save_guide(guide: GuideAutomaton, path):
 
 
 def load_guide(path) -> GuideAutomaton:
-    with open(path, encoding="utf-8") as fh:
-        return guide_from_spec(fh.read(), source=str(path))
+    return guide_from_spec(read_text(path), source=str(path))

@@ -29,6 +29,7 @@ from urllib.parse import urlsplit
 
 from .automata import UNSET, LanguageModel, Pdfa, Prefix, next_dist
 from .errors import ModelFailureError, ParseFailureError, ProtocolError, TransportError, VocabMismatchError
+from .fileio import read_text
 from .simplex import Alphabet, Distribution
 
 logger = logging.getLogger(__name__)
@@ -133,31 +134,40 @@ def identity_symbol_map(alphabet: Alphabet, token_ids: Optional[list[int]] = Non
     return SymbolMap(tuple((name, name, (t,)) for name, t in zip(alphabet.symbols, ids)))
 
 
+def _check_symbol_name(name: str, seen, where: str) -> None:
+    # `#name` would read back as a comment line
+    if name.split() != [name] or name == "$" or name.startswith("#") or name in seen:
+        raise ParseFailureError(f"{where}: bad or repeated symbol name {name!r}")
+
+
 def load_symbol_map(path) -> SymbolMap:
     """Read `symbol<TAB>chars<TAB>comma-separated token ids` lines. Each symbol
-    becomes an alphabet name: one word, unique, and not the terminal `$`."""
+    becomes an alphabet name: one word, unique, not the terminal `$` and not
+    starting with `#`. A comment line is `#` alone or `#` and a space or tab."""
     entries = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseFailureError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            if parts[0].split() != [parts[0]] or parts[0] == "$" or parts[0] in entries:
-                raise ParseFailureError(f"{path}:{lineno}: bad or repeated symbol name {parts[0]!r}")
-            try:
-                tokens = tuple(int(x) for x in parts[2].split(","))
-            except ValueError:
-                raise ParseFailureError(f"{path}:{lineno}: bad token id list {parts[2]!r}") from None
-            entries[parts[0]] = (parts[0], parts[1], tokens)
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        if not line or line == "#" or line[:2] in ("# ", "#\t"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ParseFailureError(f"{path}:{lineno}: expected 3 tab-separated fields")
+        _check_symbol_name(parts[0], entries, f"{path}:{lineno}")
+        try:
+            tokens = tuple(int(x) for x in parts[2].split(","))
+        except ValueError:
+            raise ParseFailureError(f"{path}:{lineno}: bad token id list {parts[2]!r}") from None
+        entries[parts[0]] = (parts[0], parts[1], tokens)
     if not entries:
         raise ParseFailureError(f"{path}: no symbol entries")
     return SymbolMap(tuple(entries.values()))
 
 
 def save_symbol_map(smap: SymbolMap, path):
+    """Write the lines `load_symbol_map` reads; a name it would not read back is a ParseFailureError."""
+    seen = set()
+    for symbol, _, _ in smap.entries:
+        _check_symbol_name(symbol, seen, str(path))
+        seen.add(symbol)
     with open(path, "w", encoding="utf-8") as fh:
         for symbol, chars, tokens in smap.entries:
             fh.write(f"{symbol}\t{chars}\t{','.join(str(t) for t in tokens)}\n")

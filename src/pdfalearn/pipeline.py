@@ -10,6 +10,7 @@ value bins and Kolmogorov-Smirnov tests.
 from __future__ import annotations
 
 import collections
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -56,8 +57,7 @@ def guided_sample(model: LanguageModel, n: int, max_len: int = 50, seed: int = 0
         truncated = True
         while len(u) < max_len:
             dist = model.next(u)
-            probs = np.asarray([float(p) for p in dist.probs])
-            s = int(rng.choice(len(probs), p=probs / probs.sum()))
+            s = dist.draw(rng)
             if s == dist.alphabet.terminal_index:
                 truncated = False
                 break
@@ -69,31 +69,33 @@ def guided_sample(model: LanguageModel, n: int, max_len: int = 50, seed: int = 0
 def _sample_pdfa(pdfa: Pdfa, n: int, max_len: int, seed: int) -> list[SampledString]:
     rng = np.random.default_rng(seed)
     m = pdfa.alphabet.size
-    cum = np.empty((pdfa.n_states, m + 1))
-    for q, dist in enumerate(pdfa.dists):
-        row = np.asarray([float(p) for p in dist.probs])
-        cum[q] = np.cumsum(row / row.sum())
-    cum[:, -1] = 1.0  # guard against rounding leaving the last edge below 1
+    cdf = np.asarray([dist.cdf() for dist in pdfa.dists])
     succ = np.asarray(
         [[t if t is not None else 0 for t in row] for row in pdfa.trans], dtype=np.int64
     )
     states = np.full(n, pdfa.initial, dtype=np.int64)
     active = np.arange(n)
-    symbols: list[list[int]] = [[] for _ in range(n)]
-    truncated = np.ones(n, dtype=bool)
-    for _ in range(max_len):
+    # walk i's symbols fill row i up to lengths[i]; walks still active at
+    # max_len are the truncated ones
+    picks = np.zeros((n, max_len), dtype=np.min_scalar_type(m))
+    lengths = np.full(n, max_len)
+    for step in range(max_len):
         if active.size == 0:
             break
         draws = rng.random(active.size)
-        picked = (draws[:, None] < cum[states[active]]).argmax(axis=1)
+        picked = (draws[:, None] < cdf[states[active]]).argmax(axis=1)
         finished = picked == m
-        for idx, s in zip(active[~finished], picked[~finished]):
-            symbols[idx].append(int(s))
-        truncated[active[finished]] = False
+        lengths[active[finished]] = step
         keep = ~finished
-        states[active[keep]] = succ[states[active[keep]], picked[keep]]
-        active = active[keep]
-    return [SampledString(tuple(syms), bool(trunc)) for syms, trunc in zip(symbols, truncated)]
+        active, picked = active[keep], picked[keep]
+        picks[active, step] = picked
+        states[active] = succ[states[active], picked]
+    truncated = np.zeros(n, dtype=bool)
+    truncated[active] = True
+    return [
+        SampledString(tuple(row[:k]), trunc)
+        for row, k, trunc in zip(picks.tolist(), lengths.tolist(), truncated.tolist())
+    ]
 
 
 def digit_indices(alphabet: Alphabet) -> list[Optional[int]]:
@@ -113,23 +115,40 @@ def parse_float_value(symbols: String, alphabet: Alphabet) -> float:
     A single leading dot-like symbol is allowed; any other non-digit symbol
     is a parse failure.
     """
-    return _parse_value(symbols, alphabet, digit_indices(alphabet))
+    return _parse_values([symbols], alphabet)[0]
 
 
-def _parse_value(symbols: String, alphabet: Alphabet, digits: list[Optional[int]]) -> float:
-    """parse_float_value with the alphabet's digit table already built."""
-    value = 0.0
+def _parse_values(strings: list[String], alphabet: Alphabet) -> list[float]:
+    """parse_float_value of each string, with numpy over all strings at once.
+
+    Digit j of every string adds at once, in order of j, with the scale a
+    left-to-right loop reaches there (0.1, then /10 per digit), so each value
+    is the float that loop produces. The first non-digit symbol, in string
+    order, is the one reported.
+    """
+    table = digit_indices(alphabet)
+    dots = {s for s, name in enumerate(alphabet.symbols) if name in DOT_NAMES}
+    bodies = [u[1:] if u and u[0] in dots else u for u in strings]
+    lengths = np.fromiter(map(len, bodies), dtype=np.intp, count=len(bodies))
+    flat = np.fromiter(itertools.chain.from_iterable(bodies), dtype=np.intp, count=int(lengths.sum()))
+    row = np.repeat(np.arange(len(bodies)), lengths)
+    digit = np.asarray([-1 if d is None else d for d in table])[flat]
+    bad = np.flatnonzero(digit < 0)
+    if bad.size:
+        at = int(bad[0])
+        raise ParseFailureError(
+            f"symbol {alphabet.symbols[int(flat[at])]!r} is not a digit"
+            f" in {alphabet.format(strings[int(row[at])])!r}"
+        )
+    # row i of `grid` holds string i's digits, padded with zeros, which add nothing
+    grid = np.zeros((len(bodies), int(lengths.max(initial=0))))
+    grid[row, np.arange(flat.size) - (np.cumsum(lengths) - lengths)[row]] = digit
+    values = np.zeros(len(bodies))
     scale = 0.1
-    for pos, s in enumerate(symbols):
-        if digits[s] is None:
-            if pos == 0 and alphabet.symbols[s] in DOT_NAMES:
-                continue
-            raise ParseFailureError(
-                f"symbol {alphabet.symbols[s]!r} is not a digit in {alphabet.format(symbols)!r}"
-            )
-        value += digits[s] * scale
+    for column in grid.T:
+        values += column * scale
         scale /= 10
-    return value
+    return values.tolist()
 
 
 @dataclass
@@ -162,6 +181,12 @@ class SampleReport:
 
 def _bin_index(value: float, bins: int) -> int:
     return min(int(value * bins), bins - 1)
+
+
+def _bin_counts(values, bins: int) -> np.ndarray:
+    """How many values fall in each bin, the bin of each value as _bin_index's."""
+    index = np.minimum((np.asarray(values, dtype=float) * bins).astype(int), bins - 1)
+    return np.bincount(index, minlength=bins)
 
 
 def _chi2_pvalue(stat: float, dof: int) -> float:
@@ -199,11 +224,8 @@ def _chi2_two_sample(counts_a: Sequence[int], counts_b: Sequence[int]) -> tuple[
 
 
 def _values_and_lengths(samples: list[SampledString], alphabet: Alphabet):
-    digits = digit_indices(alphabet)
-    values = [_parse_value(s.symbols, alphabet, digits) for s in samples if not s.truncated]
-    lengths = [len(s) for s in samples if not s.truncated]
-    truncated = sum(1 for s in samples if s.truncated)
-    return values, lengths, truncated
+    completed = [s.symbols for s in samples if not s.truncated]
+    return _parse_values(completed, alphabet), list(map(len, completed)), len(samples) - len(completed)
 
 
 def compare_distributions(
@@ -225,9 +247,7 @@ def compare_distributions(
     if (other is None) == (model is None):
         raise ValueError("pass exactly one of `other` or `model`")
     values, lengths, truncated = _values_and_lengths(samples, alphabet)
-    observed = [0] * bins
-    for v in values:
-        observed[_bin_index(v, bins)] += 1
+    observed = _bin_counts(values, bins).tolist()
 
     if model is not None:
         probs = analytic_value_bins(model, bins, max_len)
@@ -241,9 +261,7 @@ def compare_distributions(
         ks_lens = _ks_against_pmf(lengths, length_pmf)
     else:
         values_b, lengths_b, _ = _values_and_lengths(other, alphabet)
-        counts_b = [0] * bins
-        for v in values_b:
-            counts_b[_bin_index(v, bins)] += 1
+        counts_b = _bin_counts(values_b, bins).tolist()
         chi2 = _chi2_two_sample(observed, counts_b)
         scale = len(values) / max(len(values_b), 1)
         expected = [c * scale for c in counts_b]
@@ -286,9 +304,7 @@ def _ks_against_binned(values, bin_probs, bins):
     if not values:
         return None
     n = len(values)
-    idx = np.clip((np.asarray(values, dtype=float) * bins).astype(int), 0, bins - 1)
-    counts = np.bincount(idx, minlength=bins)
-    return _ks_discrete(np.cumsum(counts) / n, np.cumsum(bin_probs), n)
+    return _ks_discrete(np.cumsum(_bin_counts(values, bins)) / n, np.cumsum(bin_probs), n)
 
 
 def _ks_against_pmf(lengths, pmf):

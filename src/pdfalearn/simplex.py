@@ -9,9 +9,12 @@ congruence machinery built on top.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Sequence, Union
+
+import numpy as np
 
 from .errors import AllZeroError, UnknownSymbolError
 
@@ -74,7 +77,7 @@ class Distribution:
     worked examples with rational probabilities stay exact.
     """
 
-    __slots__ = ("alphabet", "probs", "_support")
+    __slots__ = ("alphabet", "probs", "_support", "_cdf")
 
     def __init__(self, alphabet: Alphabet, probs: Sequence[Number]):
         probs = tuple(probs)
@@ -88,6 +91,7 @@ class Distribution:
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "_support", frozenset(i for i in range(alphabet.size) if probs[i] > 0))
+        object.__setattr__(self, "_cdf", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Distribution is immutable")
@@ -117,6 +121,24 @@ class Distribution:
         if self.probs[-1] > 0:
             return self._support | {self.alphabet.terminal_index}
         return self._support
+
+    def cdf(self) -> list[float]:
+        """Cumulative float probabilities, terminal last; the last entry is 1.0.
+
+        Computed once, on first use, with the arithmetic of numpy's
+        `Generator.choice(len(p), p=p / p.sum())`, so that `draw` picks the
+        index `choice` would pick from the same generator state.
+        """
+        if self._cdf is None:
+            p = np.asarray([float(x) for x in self.probs])
+            cdf = (p / p.sum()).cumsum()
+            cdf /= cdf[-1]
+            object.__setattr__(self, "_cdf", cdf.tolist())
+        return self._cdf
+
+    def draw(self, rng: np.random.Generator) -> int:
+        """One categorical draw (terminal = m) from one `rng.random()` value."""
+        return bisect_right(self.cdf(), rng.random())
 
     def as_map(self) -> dict[str, Number]:
         out = {name: p for name, p in zip(self.alphabet.symbols, self.probs)}

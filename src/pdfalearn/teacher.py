@@ -134,8 +134,7 @@ class PacTeacher(Teacher):
         u = ()
         term = hypothesis.alphabet.terminal_index
         while len(u) < self.params.max_len:
-            probs = np.asarray([float(p) for p in hypothesis.dists[q].probs])
-            s = int(self._rng.choice(len(probs), p=probs / probs.sum()))
+            s = hypothesis.dists[q].draw(self._rng)
             if s == term:
                 return u
             u = u + (s,)

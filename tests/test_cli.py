@@ -236,3 +236,36 @@ def test_learn_with_a_repeated_symbol_name_is_a_json_error(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ParseFailureError"
     assert err["detail"] == f"{smap_path}:3: bad or repeated symbol name 'a'"
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, b"# pdfa v1\nalphabet a b\nstates 1\nstate 0\ndist a \xff\n", b"\xfe"],
+    ids=["missing", "0xff-in-a-line", "0xfe"],
+)
+@pytest.mark.parametrize("role", ["target", "guide", "symbol-map"])
+def test_unreadable_inputs_are_json_errors(tmp_path, loop_pdfa, capsys, role, content):
+    """A missing file, a directory or non-UTF-8 bytes fail like any malformed file."""
+    target, guide, smap = tmp_path / "t.pdfa", tmp_path / "g.guide", tmp_path / "s.map"
+    save_pdfa(loop_pdfa, target)
+    save_guide(digit_guide(), guide)
+    bad = {"target": target, "guide": guide, "symbol-map": smap}[role]
+    if content is None:
+        bad.unlink(missing_ok=True)
+    else:
+        bad.write_bytes(content)
+    argv = {
+        "target": ["quotient", "--target", str(target)],
+        "guide": ["sample", "--target", str(target), "--guide", str(guide)],
+        "symbol-map": ["learn", "--endpoint", "http://127.0.0.1:9", "--symbol-map", str(smap)],
+    }[role]
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseFailureError"
+    assert err["detail"].startswith(f"{bad}: cannot read: ")
+
+
+def test_a_directory_as_target_is_a_json_error(tmp_path, capsys):
+    assert main(["quotient", "--target", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ParseFailureError" and err["detail"].startswith(f"{tmp_path}: cannot read: ")

@@ -164,6 +164,18 @@ def test_symbol_map_rejects_names_that_are_not_alphabet_symbols(tmp_path, line, 
         load_symbol_map(path)
 
 
+def test_symbol_map_names_starting_with_a_hash_are_rejected_on_both_sides(tmp_path):
+    path = tmp_path / "map.tsv"
+    with pytest.raises(ParseFailureError, match=rf"^{re.escape(str(path))}: bad or repeated symbol name '#x'$"):
+        save_symbol_map(SymbolMap((("a", "a", (2,)), ("#x", "x", (3,)))), path)
+    assert not path.exists()  # nothing is written
+    path.write_text("# symbol map\n#\n#\tcommented out\na\ta\t2\n#x\tx\t3\n")
+    with pytest.raises(ParseFailureError, match=rf"^{re.escape(str(path))}:5: bad or repeated symbol name '#x'$"):
+        load_symbol_map(path)
+    path.write_text("# symbol map\n#\n#\tcommented out\n# b\tb\t3\na\ta\t2\n")
+    assert load_symbol_map(path) == SymbolMap((("a", "a", (2,)),))
+
+
 def test_symbol_map_duplicate_sequences_logged(caplog):
     with caplog.at_level("WARNING", logger="pdfalearn.lmbridge"):
         SymbolMap((("x", "x", (2,)), ("y", "y", (2,))))
