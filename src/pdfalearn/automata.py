@@ -57,14 +57,17 @@ class Pdfa:
             raise ValueError("dists and trans disagree on state count")
         if not 0 <= self.initial < n:
             raise ValueError("initial state out of range")
-        m = self.alphabet.size
+        alphabet, m = self.alphabet, self.alphabet.size
+        targets = {*range(n), None}
         for q, (dist, row) in enumerate(zip(self.dists, self.trans)):
-            if dist.alphabet != self.alphabet:
+            if dist.alphabet is not alphabet and dist.alphabet != alphabet:
                 raise AlphabetMismatchError(f"state {q} distribution has a different alphabet")
             if len(row) != m:
                 raise ValueError(f"state {q} transition row has wrong arity")
-            for s, target in enumerate(row):
-                if target is not None and not 0 <= target < n:
+            if targets.issuperset(row) and None not in map(row.__getitem__, dist.support()):
+                continue
+            for s, target in enumerate(row):  # the row is faulty: report its first fault
+                if target not in targets:
                     raise ValueError(f"transition ({q},{s}) target {target} out of range")
                 if target is None and s in dist.support():
                     raise ValueError(
@@ -220,7 +223,7 @@ def is_defined(model: LanguageModel, u: Sequence[int]) -> bool:
 def label_at(model: LanguageModel, partitioner: Partitioner, u: String) -> ClassId:
     """Class label of model(u), with the reserved ZERO label for undefined u."""
     dist = model.next(u)
-    return ZERO_CLASS if dist is None else partitioner.label(dist)
+    return ZERO_CLASS if dist is None else dist.label(partitioner)
 
 
 class SupportEdges:
@@ -363,7 +366,7 @@ def congruence_partition(
         row = pdfa.trans[q]
         symbols = sorted(pdfa.dists[q].support()) if mode is CongruenceMode.SUPPORT else range(len(row))
         probes.append((q, *(n if row[s] is None else row[s] for s in symbols)))
-        block[q] = labels.setdefault(partitioner.label(pdfa.dists[q]), len(labels))
+        block[q] = labels.setdefault(pdfa.dists[q].label(partitioner), len(labels))
     count = len(labels)
     while True:
         # signatures start with the own block, so rounds only split blocks;

@@ -78,21 +78,12 @@ def hk_equiv(
             out.append(sym)
             pair = prev
 
-    # intern labels so pair checks are cheap on large sweeps
-    label_cache_a: dict[int, object] = {}
-    label_cache_b: dict[int, object] = {}
-
-    def lab(cache, pdfa, q):
-        if q not in cache:
-            cache[q] = partitioner.label(pdfa.dists[q])
-        return cache[q]
-
     while queue:
         qa, qb = queue.popleft()
         if stats is not None:
             stats.pairs_visited += 1
         da, db = a.dists[qa], b.dists[qb]
-        if lab(label_cache_a, a, qa) != lab(label_cache_b, b, qb):
+        if da.label(partitioner) != db.label(partitioner):
             return Counterexample(rebuild((qa, qb)), _conflict_kind(da, db))
         supp_a, supp_b = da.support(), db.support()
         if zero_avoiding:
@@ -144,12 +135,12 @@ def shortest_defined_ce_prefix(
             raise NotACounterexampleError("counterexample is undefined in the hypothesis")
         q = hypothesis.trans[q][s]
         hyp_dists.append(hypothesis.dists[q])
-    if label_at(model, partitioner, gamma) == partitioner.label(hyp_dists[-1]):
+    if label_at(model, partitioner, gamma) == hyp_dists[-1].label(partitioner):
         raise NotACounterexampleError("string does not distinguish model and hypothesis")
     for j, dist in enumerate(hyp_dists):
         p = gamma[:j]
         model_label = label_at(model, partitioner, p)
-        if model_label != partitioner.label(dist):
+        if model_label != dist.label(partitioner):
             if model_label is ZERO_CLASS:
                 raise NotACounterexampleError(
                     "first disagreement is model-undefined; supports were inconsistent earlier"

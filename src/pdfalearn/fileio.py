@@ -34,19 +34,22 @@ class _Reader:
     A header of `alphabet`, `terminal`, `states` and `initial` lines, in any
     order, ends at the first other line. Then `state Q` opens the record of
     state Q: its `state` line, a vector over `slots` (the symbols, then the
-    terminal) and a row over `symbols`, which become `vector` and `row`.
-    Each other line `kind ...` calls body[kind](reader, parts). State
-    indices are checked against `states` as they are read, and only states
-    with a `state` line get a record; `records` lists them in state order.
-    Every error is a ParseFailureError that starts with `source:line`.
+    terminal) and a row over `symbols`, kept at `vectors[vector_at]` and
+    `rows[row_at]` in flat lists, so the garbage collector tracks nothing
+    per state while the body is read. Each other line `kind ...` calls
+    body[kind](reader, parts). State indices are checked against `states`
+    as they are read, and only states with a `state` line get a record;
+    `records` lists them in state order, as tuples. Every error is a
+    ParseFailureError that starts with `source:line`.
     """
 
     def __init__(self, text: str, source: str, body: dict[str, Callable[["_Reader", list[str]], None]]):
         self.source, self.lineno = source, 0
         self.alphabet: Optional[Alphabet] = None
-        self.vector = self.row = None  # those of the state being read
+        self.vector_at = self.row_at = None  # those of the state being read
+        self.lines, self.vectors, self.rows = [], [], []  # records in opening order
         self._header: dict[str, tuple[int, list[str]]] = {}
-        self._opened: dict[int, tuple[int, list, list]] = {}
+        self._opened: dict[int, int] = {}  # state -> record number
         handlers = {**body, "state": _Reader._open}
         for self.lineno, line in enumerate(text.splitlines(), 1):
             parts = line.split()
@@ -72,9 +75,11 @@ class _Reader:
         if self.alphabet is None:
             self._close()
         try:  # every opened state is in range, so this stops at the first gap
-            self.records = [self._opened[q] for q in range(self.n_states)]
+            order = [self._opened[q] for q in range(self.n_states)]
         except KeyError as exc:
             self.fail(f"state {exc.args[0]} has no `state` line")
+        k, m, vectors, rows = len(self.slots), len(self.symbols), self.vectors, self.rows
+        self.records = [(self.lines[b], tuple(vectors[b * k:b * k + k]), tuple(rows[b * m:b * m + m])) for b in order]
 
     def fail(self, message: str) -> NoReturn:
         raise ParseFailureError(f"{self.source}:{self.lineno}: {message}")
@@ -111,9 +116,12 @@ class _Reader:
         if len(parts) != 2:
             self.fail("`state` takes one argument")
         q = self.integer(parts[1], self.n_states)
-        if q not in self._opened:
-            self._opened[q] = (self.lineno, [0] * len(self.slots), [None] * len(self.symbols))
-        _, self.vector, self.row = self._opened[q]
+        b = self._opened.setdefault(q, len(self.lines))
+        if b == len(self.lines):  # a new record
+            self.lines.append(self.lineno)
+            self.vectors += [0] * len(self.slots)
+            self.rows += [None] * len(self.symbols)
+        self.vector_at, self.row_at = b * len(self.slots), b * len(self.symbols)
 
     def _close(self) -> None:
         """Build the alphabet and check `states` and `initial`."""
@@ -163,14 +171,14 @@ def load_pdfa(path) -> Pdfa:
 
 def parse_pdfa(text: str, source: str = "<string>") -> Pdfa:
     def dist(r, parts):
-        if r.vector is None or len(parts) != 3:
+        if r.vector_at is None or len(parts) != 3:
             r.fail("expected `dist SYMBOL PROBABILITY` inside a state")
-        r.vector[r.slots[parts[1]]] = r.number(parts[2])
+        r.vectors[r.vector_at + r.slots[parts[1]]] = r.number(parts[2])
 
     def trans(r, parts):
-        if r.row is None or len(parts) != 3:
+        if r.row_at is None or len(parts) != 3:
             r.fail("expected `trans SYMBOL TARGET|UNDEF` inside a state")
-        r.row[r.symbols[parts[1]]] = None if parts[2] == "UNDEF" else r.integer(parts[2], r.n_states)
+        r.rows[r.row_at + r.symbols[parts[1]]] = None if parts[2] == "UNDEF" else r.integer(parts[2], r.n_states)
 
     r = _Reader(text, source, {"dist": dist, "trans": trans})
     dists = [r.build(Distribution, r.alphabet, probs) for r.lineno, probs, _ in r.records]
@@ -186,10 +194,10 @@ def guide_from_spec(text: str, source: str = "<string>") -> GuideAutomaton:
     edges: dict[tuple[int, int], int] = {}
 
     def allow(r, parts):
-        if r.vector is None:
+        if r.vector_at is None:
             r.fail("`allow` outside a state")
         for name in parts[1:]:
-            r.vector[r.slots[name]] = 1
+            r.vectors[r.vector_at + r.slots[name]] = 1
 
     def trans(r, parts):
         if len(parts) != 4:

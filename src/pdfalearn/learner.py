@@ -88,6 +88,7 @@ class ClassificationTree:
         self.root = _Inner((), None, 0)
         self.leaves: dict[String, _Leaf] = {}
         self.resume: dict[String, object] = {}
+        self.redirected: dict[_Leaf, set[int]] = {}  # row symbols split since `build`
         self._depth = 0
 
     def add_leaf(self, parent: _Inner, key: ClassId, string: String, dist) -> _Leaf:
@@ -120,6 +121,7 @@ class ClassificationTree:
             source = self.leaves.get(v[:-1]) if v else None
             if source is not None and source.row is not None and source.row[v[-1]] is leaf:
                 source.row[v[-1]] = inner
+                self.redirected.setdefault(source, set()).add(v[-1])
         leaf.sifted = []
         return new_leaf
 
@@ -212,7 +214,7 @@ class LearnerMonitor:
 
 
 def _label(partitioner: Partitioner, dist: Optional[Distribution]) -> ClassId:
-    return ZERO_CLASS if dist is None else partitioner.label(dist)
+    return ZERO_CLASS if dist is None else dist.label(partitioner)
 
 
 def _extension_key(memo, partitioner: Partitioner, mode: LearnerMode, v: String, w: String, at) -> ClassId:
@@ -294,11 +296,11 @@ def build(
     Transition targets come from sifting each (leaf, symbol) extension and
     stay in the leaves' rows across rounds. One pass over the leaves in
     (length, string) order sifts the rows of leaves new since the last pass
-    and the transitions whose target was split since; every other target
-    is known without a query. A leaf that a sift discovers sorts after the
-    leaf being filled, so the same pass fills its row in turn. Queries thus
-    come in the order of sifting every pair afresh until no leaf appears.
-    State indices follow the final leaf order.
+    and the transitions whose target was split since, which `redirected`
+    names; every other target is known without a query. A leaf that a sift
+    discovers sorts after the leaf being filled, so the same pass fills its
+    row in turn. Queries thus come in the order of sifting every pair afresh
+    until no leaf appears. State indices follow the final leaf order.
     """
     m = alphabet.size
     leaves = tree.defined_leaves()
@@ -307,18 +309,16 @@ def build(
         leaf = leaves[i]
         i += 1
         if leaf.row is None:
-            row = [None] * m
+            leaf.row = [None] * m
             scope = sorted(leaf.dist.support()) if mode is LearnerMode.OMIT_ZERO else range(m)
         else:
-            row = leaf.row
-            scope = [s for s, target in enumerate(row) if isinstance(target, _Inner)]
+            scope = sorted(tree.redirected.pop(leaf, ()))
         at = memo.root.find(leaf.string) if scope else None
         for s in scope:
             target, grew = sift(tree, memo, leaf.string + (s,), mode, monitor, at.child(s))
-            row[s] = target
+            leaf.row[s] = target
             if grew and target.dist is not None:
                 insort(leaves, target, key=_order)
-        leaf.row = row
     index = {leaf: q for q, leaf in enumerate(leaves)}
     rows = tuple(tuple(map(index.get, leaf.row)) for leaf in leaves)
     pdfa = Pdfa(alphabet, tuple(l.dist for l in leaves), rows, index[tree.leaves[()]])

@@ -77,7 +77,7 @@ class Distribution:
     worked examples with rational probabilities stay exact.
     """
 
-    __slots__ = ("alphabet", "probs", "_support", "_cdf")
+    __slots__ = ("alphabet", "probs", "_support", "_cdf", "_label")
 
     def __init__(self, alphabet: Alphabet, probs: Sequence[Number]):
         probs = tuple(probs)
@@ -92,6 +92,7 @@ class Distribution:
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "_support", frozenset(i for i in range(alphabet.size) if probs[i] > 0))
         object.__setattr__(self, "_cdf", None)
+        object.__setattr__(self, "_label", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Distribution is immutable")
@@ -139,6 +140,14 @@ class Distribution:
     def draw(self, rng: np.random.Generator) -> int:
         """One categorical draw (terminal = m) from one `rng.random()` value."""
         return bisect_right(self.cdf(), rng.random())
+
+    def label(self, partitioner: "Partitioner") -> ClassId:
+        """`partitioner.label(self)`, kept until another partitioner object asks."""
+        memo = self._label  # read once, so a concurrent caller's label is never returned
+        if memo is None or memo[0] is not partitioner:
+            memo = (partitioner, partitioner.label(self))
+            object.__setattr__(self, "_label", memo)
+        return memo[1]
 
     def as_map(self) -> dict[str, Number]:
         out = {name: p for name, p in zip(self.alphabet.symbols, self.probs)}

@@ -155,8 +155,8 @@ class PacTeacher(Teacher):
                 dist = node.value
                 if dist is UNSET:
                     dist = self._memo.value(node, u[:j])
-                model_label = ZERO_CLASS if dist is None else partitioner.label(dist)
-                if model_label != partitioner.label(hypothesis.dists[q]):
+                model_label = ZERO_CLASS if dist is None else dist.label(partitioner)
+                if model_label != hypothesis.dists[q].label(partitioner):
                     gamma = shortest_defined_ce_prefix(self._memo, hypothesis, partitioner, u[:j])
                     kind = CeKind.SUPPORT_MISMATCH if dist is None else CeKind.DIST_MISMATCH
                     return self._record_ce(hypothesis, Counterexample(gamma, kind))

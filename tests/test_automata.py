@@ -1,5 +1,8 @@
 """PDFA evaluation, termination mass, congruence partitions, quotients, composition."""
 
+import collections
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,6 +25,7 @@ from pdfalearn.automata import (
 )
 from pdfalearn.automata import GuideAutomaton
 from pdfalearn.errors import AllZeroError, AlphabetMismatchError, UnknownSymbolError
+from pdfalearn.randgen import GenSpec, random_pdfa
 from pdfalearn.simplex import Alphabet, Distribution, ExactPartitioner, TopR
 
 EXACT = ExactPartitioner()
@@ -295,3 +299,82 @@ def test_sampling_commutes_with_composition(sync_model_pdfa, sync_guide):
         assert apply_sampling(TopR(2), unsampled.next(u)).probs == dd.probs
         if len(u) < 6:
             stack.extend(u + (s,) for s in dd.support())
+
+
+# --- hypothesis validation against the per-entry loop it replaced ---
+
+
+def oracle_validate(alphabet, dists, trans, initial=0):
+    """`Pdfa.__post_init__` before its set tests: one check per (state, symbol)."""
+    n = len(dists)
+    if len(trans) != n:
+        raise ValueError("dists and trans disagree on state count")
+    if not 0 <= initial < n:
+        raise ValueError("initial state out of range")
+    m = alphabet.size
+    for q, (dist, row) in enumerate(zip(dists, trans)):
+        if dist.alphabet != alphabet:
+            raise AlphabetMismatchError(f"state {q} distribution has a different alphabet")
+        if len(row) != m:
+            raise ValueError(f"state {q} transition row has wrong arity")
+        for s, target in enumerate(row):
+            if target is not None and not 0 <= target < n:
+                raise ValueError(f"transition ({q},{s}) target {target} out of range")
+            if target is None and s in dist.support():
+                raise ValueError(
+                    f"state {q} gives positive probability to symbol {s} but has no transition"
+                )
+
+
+def outcome(make, *args):
+    try:
+        make(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def validation_mutants(rng, pdfa, count):
+    """Copies of `pdfa`'s parts with one to three faults, or harmless changes."""
+    n, m = pdfa.n_states, pdfa.alphabet.size
+    # equal to the alphabet but another object, and one of the same size that differs
+    same = Alphabet(tuple(pdfa.alphabet.symbols))
+    other = Alphabet(tuple(f"x{i}" for i in range(m)))
+    for _ in range(count):
+        dists, trans = list(pdfa.dists), [list(row) for row in pdfa.trans]
+        initial, states = pdfa.initial, n
+        for _ in range(rng.randint(1, 3)):
+            q = rng.randrange(n)
+            s = rng.randrange(len(trans[q]))  # a row keeps at least one entry
+            kind = rng.choices(range(7), weights=(3, 3, 2, 1, 1, 1, 0.3))[0]
+            if kind == 0:  # out of range, or negative
+                trans[q][s] = rng.choice([n, n + 7, -1, -n])
+            elif kind == 1:  # None, on a support symbol if there is one
+                support = [t for t in sorted(dists[q].support()) if t < len(trans[q])]
+                trans[q][rng.choice(support) if support else s] = None
+            elif kind == 2:  # None off the support, or another valid target
+                trans[q][s] = rng.choice([None, rng.randrange(n)])
+            elif kind == 3:
+                trans[q] = trans[q][:-1] if len(trans[q]) > 1 and rng.random() < 0.5 else trans[q] + [0]
+            elif kind == 4:
+                dists[q] = Distribution(rng.choice([same, other]), dists[q].probs)
+            elif kind == 5:
+                initial = rng.choice([n, -1, rng.randrange(n)])
+            else:  # one row too few
+                states = n - 1
+        yield pdfa.alphabet, tuple(dists), tuple(map(tuple, trans[:states])), initial
+
+
+def test_validation_reports_what_the_per_entry_loop_reports(loop_pdfa, merged_pair_pdfa):
+    rng = random.Random(7)
+    seen = collections.Counter()
+    bases = [loop_pdfa, merged_pair_pdfa] + [
+        random_pdfa(GenSpec(n=12, m=4, theta=theta, seed=seed)) for seed in range(3) for theta in (0.3, 0.9)
+    ]
+    for pdfa in bases:
+        for args in validation_mutants(rng, pdfa, 400):
+            expected = outcome(oracle_validate, *args)
+            assert outcome(Pdfa, *args) == expected, args
+            seen[expected and re.sub(r"[0-9-]+", "#", expected[1])] += 1
+    assert seen[None] > 100
+    assert len(seen) == 7, seen  # each of the six checks fails somewhere, and some mutants pass

@@ -18,8 +18,10 @@ from pdfalearn.equivcheck import (
     shortest_defined_ce_prefix,
 )
 from pdfalearn.errors import AlphabetMismatchError, NotACounterexampleError
+from pdfalearn.learner import LearnerConfig, LearnerMode, learn
 from pdfalearn.randgen import GenSpec, random_pdfa
 from pdfalearn.simplex import Alphabet, Distribution, ExactPartitioner, QuantizationPartitioner
+from pdfalearn.teacher import PacParams, exact_teacher, filter_teacher, pac_teacher
 
 EXACT = ExactPartitioner()
 
@@ -186,3 +188,81 @@ def test_prefix_reduction_rejects_non_counterexamples(loop_pdfa, ab_alphabet):
         shortest_defined_ce_prefix(
             loop_pdfa.language_model(), loop_pdfa, EXACT, ab_alphabet.string("ab")
         )
+
+
+# --- one label per distribution object ---
+
+
+class LabelCounter(QuantizationPartitioner):
+    """quant:10 that counts its label computations per distribution object.
+
+    It keeps every distribution it labels alive, so no id is reused.
+    """
+
+    def __init__(self):
+        super().__init__(10)
+        self.seen = {}
+
+    def label(self, dist):
+        self.seen.setdefault(id(dist), [dist, 0])[1] += 1
+        return super().label(dist)
+
+    def most_per_distribution(self):
+        return max(count for _, count in self.seen.values())
+
+
+def criterion_6_instance(n=100, seed=3):
+    return random_pdfa(GenSpec(n=n, m=10, theta=0.95, seed=seed))
+
+
+def test_hk_equiv_labels_each_distribution_once(loop_pdfa, loop_pdfa_top2):
+    target = criterion_6_instance()
+    # the quotient keeps the target's distribution objects for its states
+    reference = quotient(target, QuantizationPartitioner(10))
+    for a, b, verdict in ((target, reference, None), (loop_pdfa, loop_pdfa_top2, (1,))):
+        part = LabelCounter()
+        ce = hk_equiv(a, b, part)
+        assert (ce and ce.gamma) == verdict
+        assert part.most_per_distribution() == 1
+
+
+def test_quotient_labels_each_distribution_once():
+    alphabet = Alphabet(("a", "b"))
+    body, last = Distribution(alphabet, (0.5, 0.3, 0.2)), Distribution(alphabet, (0.1, 0.1, 0.8))
+    # every state of the chain but the last shares one distribution object
+    chain = Pdfa(alphabet, (body,) * 29 + (last,), tuple((min(q + 1, 29), 0) for q in range(30)))
+    for pdfa in (chain, criterion_6_instance()):
+        part = LabelCounter()
+        quotient(pdfa, part)
+        assert part.most_per_distribution() == 1
+    assert len(part.seen) > 2
+
+
+def test_pac_equivalence_labels_each_distribution_once():
+    target = random_pdfa(GenSpec(n=40, m=4, theta=0.5, seed=5))
+    part = LabelCounter()
+    teacher = pac_teacher(target.language_model(), part, PacParams(max_len=30), seed=2)
+    assert teacher.eq(target) is None
+    assert part.most_per_distribution() == 1
+    learn(teacher, part)
+    assert teacher.eq_count > 2
+    assert part.most_per_distribution() == 1
+
+
+@pytest.mark.parametrize(
+    "make, mode",
+    [
+        (exact_teacher, LearnerMode.OMIT_ZERO),
+        (filter_teacher, LearnerMode.QNT_STANDARD),
+        (exact_teacher, LearnerMode.QNT_STANDARD),
+    ],
+)
+def test_learning_labels_each_distribution_once(make, mode):
+    """Learner, teacher and equivalence check share one label per distribution."""
+    target = criterion_6_instance(n=200, seed=1)
+    part = LabelCounter()
+    teacher = make(target, part)
+    learned = learn(teacher, part, LearnerConfig(mode=mode))
+    assert hk_equiv(learned, quotient(target, part), part) is None
+    assert quotient(learned, part).n_states == 41
+    assert part.most_per_distribution() == 1

@@ -22,6 +22,7 @@ from pdfalearn.learner import (
     LearnerConfig,
     LearnerMode,
     LearnerMonitor,
+    _Inner,
     _initial_hypothesis,
     _label,
     build,
@@ -369,6 +370,42 @@ def test_rebuilding_an_unchanged_tree_asks_nothing():
     again, again_access = build(tree, mq, target.alphabet)
     assert (part.calls, teacher.mq_count) == (labels, mqs)
     assert _parts(again) == _parts(first) and again_access == first_access
+
+
+def scan_for_redirected_rows(tree):
+    """The scan `build` made before splits recorded it: per leaf, the row
+    entries that point at an inner node."""
+    found = {}
+    for leaf in tree.leaves.values():
+        symbols = {s for s, target in enumerate(leaf.row or ()) if isinstance(target, _Inner)}
+        if symbols:
+            found[leaf] = symbols
+    return found
+
+
+@pytest.mark.parametrize("mode", sorted(TEACHERS))
+def test_splits_record_exactly_the_rows_a_scan_finds(mode):
+    make, learner_mode = TEACHERS[mode]
+    redirected = 0
+    for seed in range(6):
+        target = random_pdfa(GenSpec(n=100, m=10, theta=0.95, seed=seed))
+        teacher = make(target, KAPPA)
+        memo = MemoModel(target.alphabet, teacher.mq)
+        hypothesis = _initial_hypothesis(target.alphabet, memo.next(()), learner_mode)
+        ce = teacher.eq(hypothesis)
+        if ce is None:
+            continue
+        tree = initialize_tree(ce.gamma, memo, hypothesis, KAPPA, learner_mode)
+        while True:
+            hypothesis, access = build(tree, memo, target.alphabet, learner_mode)
+            assert tree.redirected == {} == scan_for_redirected_rows(tree)
+            ce = teacher.eq(hypothesis)
+            if ce is None:
+                break
+            update(tree, memo, hypothesis, access, ce.gamma, learner_mode)
+            assert tree.redirected == scan_for_redirected_rows(tree)
+            redirected += sum(map(len, tree.redirected.values()))
+    assert redirected > 10
 
 
 def test_depth_is_kept_on_a_tree_deeper_than_the_recursion_limit():

@@ -198,3 +198,44 @@ def test_quantization_refines_monotonically(d1, d2, kappa, c):
     fine = QuantizationPartitioner(c * kappa)
     if fine.label(d1) == fine.label(d2):
         assert coarse.label(d1) == coarse.label(d2)
+
+
+# --- the label memo on each distribution ---
+
+class CountingQuantization(QuantizationPartitioner):
+    def __init__(self, kappa):
+        super().__init__(kappa)
+        self.calls = 0
+
+    def label(self, dist):
+        self.calls += 1
+        return super().label(dist)
+
+
+# equal partitioners that are distinct objects, and ones whose labels differ
+MEMO_PARTITIONERS = (
+    ExactPartitioner(),
+    QuantizationPartitioner(3),
+    QuantizationPartitioner(10),
+    QuantizationPartitioner(10),
+    TopKPartitioner(1),
+    TopKPartitioner(2),
+)
+
+
+@settings(max_examples=200)
+@given(random_dists(), st.lists(st.integers(0, len(MEMO_PARTITIONERS) - 1), min_size=1, max_size=12))
+def test_memoised_label_equals_the_partitioners_label(dist, order):
+    """Partitioners alternate on one distribution: a stale label would show."""
+    for i in order:
+        p = MEMO_PARTITIONERS[i]
+        assert dist.label(p) == p.label(dist)
+
+
+def test_memoised_label_is_computed_once_per_partitioner_in_turn():
+    dist = d({"a": 0.31, "b": 0.69, "$": 0})
+    p, q = CountingQuantization(10), CountingQuantization(3)
+    assert [dist.label(p) for _ in range(3)] == [(3, 6, -1)] * 3
+    assert p.calls == 1
+    assert dist.label(q) == (0, 2, -1) and q.calls == 1
+    assert dist.label(p) == (3, 6, -1) and p.calls == 2
