@@ -178,9 +178,12 @@ class PdfaLanguageModel(LanguageModel):
         self.alphabet = pdfa.alphabet
 
     def state_after(self, u: Sequence[int]) -> Optional[int]:
+        """The state u leads to along supports, or None; an unknown symbol raises, as in `walk`."""
         q = self.pdfa.initial
         for s in u:
             if s not in self.pdfa.dists[q].support():
+                if not 0 <= s < self.alphabet.size:
+                    raise UnknownSymbolError(f"symbol index {s} not in alphabet")
                 return None
             q = self.pdfa.trans[q][s]
         return q
@@ -326,10 +329,13 @@ class CongruenceMode(Enum):
 class StatePartition:
     """Blocks over the reachable states plus the reserved zero class.
 
-    block_of[q] is the block index, or None for unreachable states.
-    zero_states collects states with no valid distribution; for any Pdfa
-    built through this package it is empty (the zero class only ever holds
-    undefined strings, which no state represents).
+    block_of[q] is the block index, or None for unreachable states. Blocks
+    are numbered by their smallest member and list their members in
+    ascending order, so the coarsest congruence has exactly one
+    representation and partitions compare with `==`. zero_states collects
+    states with no valid distribution; for any Pdfa built through this
+    package it is empty (the zero class only ever holds undefined strings,
+    which no state represents).
     """
 
     block_of: tuple[Optional[int], ...]
@@ -344,45 +350,72 @@ class StatePartition:
 def congruence_partition(
     pdfa: Pdfa, partitioner: Partitioner, mode: CongruenceMode = CongruenceMode.SUPPORT
 ) -> StatePartition:
-    """Moore refinement of reachable states compared as rooted submodels.
+    """Coarsest congruence on the reachable states that refines their labels.
 
-    Initial blocks group states by distribution label. SUPPORT mode splits a
-    block when two members disagree on the block of a support successor
-    (label equality forces equal supports, so the probe set is well defined);
-    zero-probability transitions are never followed. ALL mode refines over
-    every symbol, treating a missing transition as its own sink.
+    Two states share a block iff their labels agree and, on every probed
+    symbol, their successors share a block. SUPPORT mode probes support
+    symbols only (equal labels force equal supports, so a block's members
+    probe the same symbols) and never follows a zero-probability transition;
+    ALL mode probes every symbol, a missing transition leading to a sink of
+    its own.
 
-    Blocks are numbered by their smallest member state.
+    Splitter-driven refinement for partial transition functions (Valmari and
+    Lehtinen, STACS 2008; Hopcroft's method made sound for missing
+    transitions): every initial block is a splitter, each popped splitter
+    splits the blocks its predecessors only partly fill, and a block split
+    after it was used re-enters as its smaller half. It runs in
+    O(edges * log n) for the probed edges.
     """
-    reach = sorted(reachable_states(pdfa.trans, pdfa.initial))
     n = pdfa.n_states
-    unset = [None] * n + [-1]  # unreachable states have no block, the sink's is -1
-    block = unset[:]
+    reach = reachable_states(pdfa.trans, pdfa.initial)
+    # the probed edges into each state as (symbol, source); a missing
+    # transition leads to state n, the sink, whose block is its own
+    into: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    block: list[Optional[int]] = [None] * (n + 1)
     labels: dict[ClassId, int] = {}
-    # each reachable state probes itself, then its successor on each probed
-    # symbol; a missing transition leads to state n, the sink
-    probes = []
     for q in reach:
-        row = pdfa.trans[q]
-        symbols = sorted(pdfa.dists[q].support()) if mode is CongruenceMode.SUPPORT else range(len(row))
-        probes.append((q, *(n if row[s] is None else row[s] for s in symbols)))
-        block[q] = labels.setdefault(pdfa.dists[q].label(partitioner), len(labels))
-    count = len(labels)
-    while True:
-        # signatures start with the own block, so rounds only split blocks;
-        # ascending visits number fresh blocks by their smallest member
-        fresh: dict[tuple, int] = {}
-        new_block = unset[:]
-        for probe in probes:
-            new_block[probe[0]] = fresh.setdefault(tuple(map(block.__getitem__, probe)), len(fresh))
-        block = new_block
-        if len(fresh) == count:
-            break
-        count = len(fresh)
-    blocks: list[list[int]] = [[] for _ in range(count)]
-    for q in reach:
-        blocks[block[q]].append(q)
-    return StatePartition(tuple(block[:n]), tuple(map(tuple, blocks)))
+        dist, row = pdfa.dists[q], pdfa.trans[q]
+        for s in dist.support() if mode is CongruenceMode.SUPPORT else range(len(row)):
+            t = row[s]
+            into[n if t is None else t].append((s, q))
+        block[q] = labels.setdefault(dist.label(partitioner), len(labels))
+    block[n] = len(labels)
+    members: list[set[int]] = [set() for _ in range(len(labels) + 1)]
+    for q in reach + [n]:
+        members[block[q]].add(q)
+    # with missing transitions no block's splits follow from the others':
+    # every initial block is a splitter
+    work = set(range(len(members)))
+    while work and len(members) <= len(reach):  # once all blocks are singletons, none splits
+        splitter = work.pop()
+        sources: dict[int, list[int]] = collections.defaultdict(list)
+        for t in members[splitter]:
+            for s, q in into[t]:
+                if len(members[block[q]]) > 1:  # a singleton never splits
+                    sources[s].append(q)
+        for preds in sources.values():
+            hit: dict[int, list[int]] = collections.defaultdict(list)
+            for q in preds:
+                hit[block[q]].append(q)
+            for b, part in hit.items():
+                rest = members[b]
+                if len(part) == len(rest):
+                    continue
+                rest.difference_update(part)
+                fresh = len(members)
+                members.append(set(part))
+                for q in part:
+                    block[q] = fresh
+                # a waiting block's halves both wait; otherwise the smaller
+                # half suffices, the other's splits following from b's
+                work.add(fresh if b in work or len(part) < len(rest) else b)
+    # blocks sort by their smallest member; the sink's, [n], sorts last
+    blocks = sorted(map(sorted, members))[:-1]
+    block_of: list[Optional[int]] = [None] * n
+    for i, states in enumerate(blocks):
+        for q in states:
+            block_of[q] = i
+    return StatePartition(tuple(block_of), tuple(map(tuple, blocks)))
 
 
 def quotient(pdfa: Pdfa, partitioner: Partitioner) -> Pdfa:
@@ -500,6 +533,8 @@ class ComposedLanguageModel(LanguageModel):
                 return dist
             s = u[i]
             if dist is None or s not in dist.support():
+                if not 0 <= s < self.alphabet.size:
+                    raise UnknownSymbolError(f"symbol index {s} not in alphabet")
                 return None
             node, g = node.child(s), self.guide.delta[g][s]
 

@@ -1,14 +1,19 @@
-"""Analysis kernels that build each state's successor list once.
+"""Analysis kernels checked against the loops they replaced.
 
-`congruence_partition` probes each state's successors from a list built
-before its refinement loop, and `termination_mass` and the exact value and
-length laws read one list of support edges (`SupportEdges`). The loops they
-replaced are kept below as oracles, and on a seeded corpus the kernels must
-give exactly (`==`) their results: the same partitions, quotients, masses,
-laws and errors.
+`congruence_partition` refines by splitters over each state's inverted
+probed edges (Valmari and Lehtinen's method for partial automata);
+`termination_mass` and the exact value and length laws read one list of
+support edges (`SupportEdges`). The loops they replaced are kept below as
+oracles: two generations of Moore refinement for the partitions, and the
+per-state loops for the masses and laws. On a seeded corpus, the automata
+of acceptance criteria 2, 4 and 5, chains of up to 2,000 states with and
+without missing transitions, and analyze's screened 16k-state instance, the
+kernels must give exactly (`==`) the oracles' results: the same partitions,
+quotients, masses, laws and errors.
 """
 
 import collections
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +31,7 @@ from pdfalearn.automata import (
     termination_mass,
     trim,
 )
+from pdfalearn.equivcheck import hk_equiv
 from pdfalearn.errors import AllZeroError, NonConvergenceError, ParseFailureError
 from pdfalearn.pipeline import analytic_length_pmf, analytic_value_bins, digit_guide, digit_indices
 from pdfalearn.randgen import GenSpec, random_pdfa
@@ -93,9 +99,42 @@ def oracle_congruence_partition(pdfa, partitioner, mode=CongruenceMode.SUPPORT):
     return StatePartition(block_of, tuple(tuple(sorted(s)) for s in ordered))
 
 
-def oracle_quotient(pdfa, partitioner):
+def oracle_moore_partition(pdfa, partitioner, mode=CongruenceMode.SUPPORT):
+    """Moore refinement from one successor list per state, built before the rounds."""
+    reach = sorted(reachable_states(pdfa.trans, pdfa.initial))
+    n = pdfa.n_states
+    unset = [None] * n + [-1]  # unreachable states have no block, the sink's is -1
+    block = unset[:]
+    labels = {}
+    # each reachable state probes itself, then its successor on each probed
+    # symbol; a missing transition leads to state n, the sink
+    probes = []
+    for q in reach:
+        row = pdfa.trans[q]
+        symbols = sorted(pdfa.dists[q].support()) if mode is CongruenceMode.SUPPORT else range(len(row))
+        probes.append((q, *(n if row[s] is None else row[s] for s in symbols)))
+        block[q] = labels.setdefault(partitioner.label(pdfa.dists[q]), len(labels))
+    count = len(labels)
+    while True:
+        # signatures start with the own block, so rounds only split blocks;
+        # ascending visits number fresh blocks by their smallest member
+        fresh = {}
+        new_block = unset[:]
+        for probe in probes:
+            new_block[probe[0]] = fresh.setdefault(tuple(map(block.__getitem__, probe)), len(fresh))
+        block = new_block
+        if len(fresh) == count:
+            break
+        count = len(fresh)
+    blocks = [[] for _ in range(count)]
+    for q in reach:
+        blocks[block[q]].append(q)
+    return StatePartition(tuple(block[:n]), tuple(map(tuple, blocks)))
+
+
+def oracle_quotient(pdfa, partitioner, partition=oracle_congruence_partition):
     sub = trim(pdfa, positive_only=True)
-    part = oracle_congruence_partition(sub, partitioner, CongruenceMode.SUPPORT)
+    part = partition(sub, partitioner, CongruenceMode.SUPPORT)
     dists = []
     trans = []
     for states in part.blocks:
@@ -269,6 +308,59 @@ def chain(n, seed=0):
     return Pdfa(alphabet, (body,) * (n - 1) + (last,), tuple((min(q + 1, n - 1), 0) for q in range(n)))
 
 
+def holey_chain(n, seed=0):
+    """`chain` where b has probability 0 at each state q % 3 != 0 but the last, and
+    no transition at q % 3 == 1: ALL mode sends those to its sink."""
+    alphabet = Alphabet(("a", "b"))
+    rng = np.random.default_rng(seed)
+
+    def draw(b):
+        w = 1.0 - rng.random(3)
+        w[1] *= b
+        return Distribution(alphabet, tuple(float(x) for x in w / w.sum()))
+
+    full, no_b, last = draw(1), draw(0), draw(1)
+    dists = tuple(full if q % 3 == 0 else no_b for q in range(n - 1)) + (last,)
+    trans = tuple((min(q + 1, n - 1), None if q % 3 == 1 and q < n - 1 else 0) for q in range(n))
+    return Pdfa(alphabet, dists, trans)
+
+
+def ring(n):
+    """One distribution without b; `a` goes round the ring, `b` leads to 0 from
+    every state but the last, which has no b-transition."""
+    alphabet = Alphabet(("a", "b"))
+    dist = Distribution.from_map(alphabet, {"a": 0.5, "$": 0.5})
+    return Pdfa(alphabet, (dist,) * n, tuple(((q + 1) % n, None if q == n - 1 else 0) for q in range(n)))
+
+
+def inflate(pdfa, rng, copies=2):
+    """Each state `copies` times, each transition to a random copy of its target."""
+    m = pdfa.alphabet.size
+    dists = tuple(d for d in pdfa.dists for _ in range(copies))
+    trans = tuple(
+        tuple(row[s] * copies + int(rng.integers(copies)) for s in range(m))
+        for row in pdfa.trans
+        for _ in range(copies)
+    )
+    return trim(Pdfa(pdfa.alphabet, dists, trans, pdfa.initial * copies))
+
+
+def acceptance_instances(request):
+    """The automata that acceptance criteria 2, 4 and 5 partition, built as there."""
+    yield request.getfixturevalue("merged_pair_pdfa")
+    sync = (request.getfixturevalue("sync_model_pdfa"), request.getfixturevalue("sync_guide"))
+    yield materialize_compose(*sync, TopR(2))
+    for i in range(100):
+        yield random_pdfa(GenSpec(n=5 + (i * 7) % 26, m=2 + i % 4, theta=(i % 10) / 10, seed=1000 + i))
+    rng = np.random.default_rng(5150)
+    for i in range(100):
+        if i % 2 == 0:
+            yield inflate(random_pdfa(GenSpec(n=2 + i % 3, m=2, theta=0.3, seed=i)), rng)
+        else:
+            yield random_pdfa(GenSpec(n=2 + i % 7, m=2, theta=0.6, seed=i))
+        yield random_pdfa(GenSpec(n=4, m=2, theta=0.4, seed=4000 + i))
+
+
 def random_guide(alphabet, seed, n=3):
     rng = np.random.default_rng(seed)
     m = alphabet.size
@@ -299,38 +391,46 @@ def rational_fixtures(request):
 # --- congruence partitions and quotients ---
 
 
+def assert_partitions_match(
+    pdfa, partitioners=PARTITIONERS, oracles=(oracle_moore_partition, oracle_congruence_partition)
+):
+    """Both modes give the oracles' partitions, and the quotient the oracle's automaton."""
+    for partitioner in partitioners:
+        for mode in MODES:
+            got = congruence_partition(pdfa, partitioner, mode)
+            for oracle in oracles:
+                assert got == oracle(pdfa, partitioner, mode), (oracle.__name__, partitioner, mode)
+        assert quotient(pdfa, partitioner) == oracle_quotient(pdfa, partitioner, oracles[-1])
+
+
 @pytest.mark.parametrize("partitioner", PARTITIONERS, ids=lambda p: p.name)
 def test_partition_matches_oracle_on_random_instances(partitioner):
     unreachable = 0
     for pdfa in random_instances():
-        for mode in MODES:
-            got = congruence_partition(pdfa, partitioner, mode)
-            assert got == oracle_congruence_partition(pdfa, partitioner, mode)
-            unreachable += got.block_of.count(None)
-        assert quotient(pdfa, partitioner) == oracle_quotient(pdfa, partitioner)
+        assert_partitions_match(pdfa, (partitioner,))
+        unreachable += congruence_partition(pdfa, partitioner).block_of.count(None)
     assert unreachable > 0
 
 
 def test_partition_matches_oracle_on_rational_fixtures(request):
     for pdfa in rational_fixtures(request):
-        for partitioner in PARTITIONERS:
-            for mode in MODES:
-                assert congruence_partition(pdfa, partitioner, mode) == oracle_congruence_partition(
-                    pdfa, partitioner, mode
-                )
-            assert quotient(pdfa, partitioner) == oracle_quotient(pdfa, partitioner)
+        assert_partitions_match(pdfa)
 
 
 def test_partition_matches_oracle_on_digit_composites():
     count = 0
     for pdfa in digit_composites():
-        for partitioner in PARTITIONERS:
-            for mode in MODES:
-                assert congruence_partition(pdfa, partitioner, mode) == oracle_congruence_partition(
-                    pdfa, partitioner, mode
-                )
+        assert_partitions_match(pdfa)
         count += 1
     assert count >= 40
+
+
+def test_partition_matches_oracle_on_acceptance_instances(request):
+    count = 0
+    for pdfa in acceptance_instances(request):
+        assert_partitions_match(pdfa)
+        count += 1
+    assert count == 302
 
 
 def test_all_mode_tells_a_missing_transition_from_a_loop():
@@ -341,17 +441,64 @@ def test_all_mode_tells_a_missing_transition_from_a_loop():
     for mode, blocks in ((CongruenceMode.SUPPORT, 1), (CongruenceMode.ALL, 2)):
         got = congruence_partition(pdfa, ExactPartitioner(), mode)
         assert got == oracle_congruence_partition(pdfa, ExactPartitioner(), mode)
+        assert got == oracle_moore_partition(pdfa, ExactPartitioner(), mode)
         assert got.num_blocks == blocks
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 17, 1000])
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 1000, 2000])
 def test_partition_matches_oracle_on_chains(n):
-    # full supports: both modes probe every symbol, and refinement takes n rounds
+    # full supports: both modes probe every symbol, and Moore refinement takes n rounds
     pdfa = chain(n, seed=n)
     got = congruence_partition(pdfa, ExactPartitioner())
-    assert got == oracle_congruence_partition(pdfa, ExactPartitioner())
+    assert got == oracle_moore_partition(pdfa, ExactPartitioner())
     assert got.num_blocks == n
-    assert quotient(pdfa, QuantizationPartitioner(2)) == oracle_quotient(pdfa, QuantizationPartitioner(2))
+    quant = QuantizationPartitioner(2)
+    assert quotient(pdfa, quant) == oracle_quotient(pdfa, quant, oracle_moore_partition)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 10, 301])
+def test_partition_matches_oracle_on_chains_with_missing_transitions(n):
+    # ALL mode sends every third state's b to its sink; a-suffixes still tell all n apart
+    pdfa = holey_chain(n, seed=n)
+    assert_partitions_match(pdfa, oracles=(oracle_moore_partition,))
+    for mode in MODES:
+        assert congruence_partition(pdfa, ExactPartitioner(), mode).num_blocks == n
+
+
+@pytest.mark.parametrize("n", [1, 2, 30, 300])
+def test_all_mode_sink_splits_what_support_mode_merges(n):
+    # on supports the ring is one state; only the sink tells its states apart
+    pdfa = ring(n)
+    for mode, blocks in ((CongruenceMode.SUPPORT, 1), (CongruenceMode.ALL, n)):
+        got = congruence_partition(pdfa, ExactPartitioner(), mode)
+        assert got == oracle_moore_partition(pdfa, ExactPartitioner(), mode)
+        assert got.num_blocks == blocks
+
+
+def test_partition_matches_oracle_on_the_screened_16k_instance():
+    # analyze's set-up for seed 1: the first of two candidates with a quarter
+    # of its states positively reachable
+    for j in range(2):
+        big = random_pdfa(GenSpec(16_000, 10, 0.9, seed=1000 + j))
+        if 4 * trim(big, positive_only=True).n_states >= 16_000:
+            break
+    else:
+        pytest.fail("neither candidate passes the screening")
+    quant = QuantizationPartitioner(10)
+    for mode in MODES:
+        assert congruence_partition(big, quant, mode) == oracle_moore_partition(big, quant, mode)
+    assert quotient(big, quant) == oracle_quotient(big, quant, oracle_moore_partition)
+
+
+def test_ten_thousand_state_chain_quotients_within_the_deadline():
+    # Moore refinement needs one O(n*m) round per state here: over a minute
+    pdfa = chain(10_000)
+    start = time.perf_counter()
+    reduced = quotient(pdfa, ExactPartitioner())
+    elapsed = time.perf_counter() - start
+    assert reduced.n_states == 10_000
+    assert hk_equiv(pdfa, reduced, ExactPartitioner()) is None
+    assert elapsed < 20, f"{elapsed:.1f} s"
 
 
 # --- termination mass and the exact laws ---

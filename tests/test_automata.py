@@ -14,6 +14,7 @@ from pdfalearn.automata import (
     congruence_partition,
     is_defined,
     isomorphic,
+    label_at,
     materialize_compose,
     next_dist,
     prefix_prob,
@@ -27,6 +28,7 @@ from pdfalearn.automata import GuideAutomaton
 from pdfalearn.errors import AllZeroError, AlphabetMismatchError, UnknownSymbolError
 from pdfalearn.randgen import GenSpec, random_pdfa
 from pdfalearn.simplex import Alphabet, Distribution, ExactPartitioner, TopR
+from pdfalearn.teacher import exact_teacher, filter_teacher
 
 EXACT = ExactPartitioner()
 
@@ -51,6 +53,21 @@ def test_walk_hits_undef_on_missing_transition(ab_alphabet):
 def test_walk_rejects_unknown_symbols(loop_pdfa):
     with pytest.raises(UnknownSymbolError):
         walk(loop_pdfa, (7,))
+
+
+@pytest.mark.parametrize("u", [(5,), (-1,), (1, 2), (0, 0, -3)])
+def test_support_views_reject_unknown_symbols_like_walk(loop_pdfa, ab_alphabet, u):
+    # the support-following views used to report these strings as undefined
+    everything = GuideAutomaton(ab_alphabet, ((1, 1, 1),), ((0, 0),))
+    for lm in (loop_pdfa.language_model(), compose(loop_pdfa.language_model(), everything)):
+        for ask in (lm.next, lambda u: is_defined(lm, u), lambda u: label_at(lm, EXACT, u)):
+            with pytest.raises(UnknownSymbolError):
+                ask(u)
+        # a known symbol outside the support is still undefined, not an error
+        assert lm.next((0, 1)) is None
+    for teacher in (filter_teacher(loop_pdfa, EXACT), exact_teacher(loop_pdfa, EXACT)):
+        with pytest.raises(UnknownSymbolError):
+            teacher.mq(u)
 
 
 def test_next_dist_figure_values(loop_pdfa, ab_alphabet):
