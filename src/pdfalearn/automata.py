@@ -11,6 +11,7 @@ and reports such strings as undefined even where the structure is total.
 from __future__ import annotations
 
 import collections
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -103,18 +104,44 @@ def next_dist(pdfa: Pdfa, u: Sequence[int]) -> Optional[Distribution]:
     return None if q is None else pdfa.dists[q]
 
 
+@functools.cache
+def _indices(m: int) -> frozenset[int]:
+    return frozenset(range(m))
+
+
 class LanguageModel:
     """Total map from strings to next-symbol distributions, with undefinedness.
 
     next(u) returns None exactly when some step of u left the support of the
-    distribution at the preceding prefix. Implementations must be pure
-    functions of u.
+    distribution at the preceding prefix; it must be a pure function of u.
+    Models are read one symbol at a time through cursors: start() for the
+    empty string, step(c, s), None when s leaves the support of dist(c), and
+    dist(c), None where undefined. A model overrides `next` or all three;
+    one that overrides only `next` is read with its prefix as the cursor.
     """
 
     alphabet: Alphabet
 
-    def next(self, u: String) -> Optional[Distribution]:
-        raise NotImplementedError
+    def start(self):
+        return EMPTY
+
+    def step(self, cursor, s: int):
+        return cursor + (s,)
+
+    def dist(self, cursor) -> Optional[Distribution]:
+        return self.next(cursor)
+
+    def next(self, u: Sequence[int]) -> Optional[Distribution]:
+        """Fold `step` over u; an unknown symbol anywhere in u raises, as in `walk`."""
+        if not _indices(self.alphabet.size).issuperset(u):
+            bad = next(s for s in u if not 0 <= s < self.alphabet.size)
+            raise UnknownSymbolError(f"symbol index {bad} not in alphabet")
+        cursor, step = self.start(), self.step
+        for s in u:
+            cursor = step(cursor, s)
+            if cursor is None:
+                return None
+        return self.dist(cursor)
 
 
 UNSET = object()  # value of a trie node whose string has not been evaluated
@@ -124,6 +151,9 @@ class Prefix(dict):
     """A trie node: maps each symbol to a child; `value` is UNSET until its string is evaluated."""
 
     __slots__ = ("value",)
+    # a node is one prefix: it compares and hashes by identity, so it can be in a cursor
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self):
         self.value = UNSET
@@ -177,45 +207,39 @@ class PdfaLanguageModel(LanguageModel):
         self.pdfa = pdfa
         self.alphabet = pdfa.alphabet
 
-    def state_after(self, u: Sequence[int]) -> Optional[int]:
-        """The state u leads to along supports, or None; an unknown symbol raises, as in `walk`."""
-        q = self.pdfa.initial
-        for s in u:
-            if s not in self.pdfa.dists[q].support():
-                if not 0 <= s < self.alphabet.size:
-                    raise UnknownSymbolError(f"symbol index {s} not in alphabet")
-                return None
-            q = self.pdfa.trans[q][s]
-        return q
+    def start(self) -> int:
+        return self.pdfa.initial
 
-    def next(self, u: String) -> Optional[Distribution]:
-        q = self.state_after(u)
-        return None if q is None else self.pdfa.dists[q]
+    def step(self, q: int, s: int) -> Optional[int]:
+        return self.pdfa.trans[q][s] if s in self.pdfa.dists[q].support() else None
+
+    def dist(self, q: int) -> Distribution:
+        return self.pdfa.dists[q]
+
+
+def _prefix_fold(model: LanguageModel, w: Sequence[int]):
+    """Prefix probability of w and the cursor after w, or (0, None)."""
+    p, cursor = 1, model.start()
+    for s in w:
+        dist = model.dist(cursor)
+        factor = 0 if dist is None else dist.prob(s)
+        if factor == 0:
+            return 0, None
+        p *= factor
+        cursor = model.step(cursor, s)
+    return p, cursor
 
 
 def prefix_prob(model: LanguageModel, w: Sequence[int]):
     """Probability that w occurs as a prefix of a generated string."""
-    p = 1
-    for i, s in enumerate(w):
-        dist = model.next(tuple(w[:i]))
-        if dist is None:
-            return 0
-        factor = dist.prob(s)
-        if factor == 0:
-            return 0
-        p *= factor
-    return p
+    return _prefix_fold(model, w)[0]
 
 
 def string_prob(model: LanguageModel, u: Sequence[int]):
     """Probability that generation produces exactly u and terminates."""
-    p = prefix_prob(model, u)
-    if p == 0:
-        return 0
-    dist = model.next(tuple(u))
-    if dist is None:
-        return 0
-    return p * dist.terminal_prob
+    p, cursor = _prefix_fold(model, u)
+    dist = None if p == 0 else model.dist(cursor)
+    return 0 if dist is None else p * dist.terminal_prob
 
 
 def is_defined(model: LanguageModel, u: Sequence[int]) -> bool:
@@ -501,12 +525,11 @@ def _masked(dist: Distribution, mask: Sequence[int]) -> Optional[Distribution]:
 class ComposedLanguageModel(LanguageModel):
     """On-demand product of a language model with a guide plus sampling.
 
-    next(u) masks the inner model's distribution with the guide state
-    reached by u, renormalizes, and applies the sampling strategy. The
-    composite is undefined at u as soon as a step of u leaves the
-    composite's own (sampled) support, or the masked weights all vanish.
-    Each evaluated prefix keeps its distribution on a trie, so the inner
-    model is asked once per prefix whose steps stay in the support.
+    The cursor is the pair (inner cursor, guide state). Its distribution
+    masks the inner model's with the guide state's mask, renormalizes, and
+    applies the sampling strategy; it is None where the inner model is
+    undefined or the masked weights all vanish. Each pair's distribution is
+    computed once: over a PDFA the pairs are the product's states.
     """
 
     def __init__(self, model: LanguageModel, guide: GuideAutomaton, strategy: SamplingStrategy = None):
@@ -516,27 +539,27 @@ class ComposedLanguageModel(LanguageModel):
         self.guide = guide
         self.strategy = strategy
         self.alphabet = model.alphabet
-        self._root = Prefix()
+        self._dists: dict = {}
 
-    def next(self, u: String) -> Optional[Distribution]:
-        u = tuple(u)
-        node, g = self._root, self.guide.initial
-        for i in range(len(u) + 1):
-            if node.value is UNSET:
-                # composite supports are contained in the inner model's, so a
-                # defined composite prefix cannot out-run the inner model
-                inner = self.model.next(u[:i])
-                masked = None if inner is None else _masked(inner, self.guide.masks[g])
-                node.value = None if masked is None else apply_sampling(self.strategy, masked)
-            dist = node.value
-            if i == len(u):
-                return dist
-            s = u[i]
-            if dist is None or s not in dist.support():
-                if not 0 <= s < self.alphabet.size:
-                    raise UnknownSymbolError(f"symbol index {s} not in alphabet")
-                return None
-            node, g = node.child(s), self.guide.delta[g][s]
+    def start(self):
+        return self.model.start(), self.guide.initial
+
+    def step(self, cursor, s: int):
+        dist = self.dist(cursor)
+        if dist is None or s not in dist.support():
+            return None
+        # composite supports lie inside the inner model's: it steps along
+        inner, g = cursor
+        return self.model.step(inner, s), self.guide.delta[g][s]
+
+    def dist(self, cursor) -> Optional[Distribution]:
+        dist = self._dists.get(cursor, UNSET)
+        if dist is UNSET:
+            inner, g = cursor
+            dist = self.model.dist(inner)
+            masked = None if dist is None else _masked(dist, self.guide.masks[g])
+            dist = self._dists[cursor] = None if masked is None else apply_sampling(self.strategy, masked)
+        return dist
 
 
 def compose(
@@ -556,15 +579,10 @@ def materialize_compose(
     probability makes the composition itself undefined mid-generation,
     which AllZeroError reports.
     """
-    if pdfa.alphabet != guide.alphabet:
-        raise AlphabetMismatchError("model and guide alphabets differ")
-
-    def state_dist(l: int, g: int) -> Optional[Distribution]:
-        masked = _masked(pdfa.dists[l], guide.masks[g])
-        return None if masked is None else apply_sampling(strategy, masked)
-
+    # the product's states are the on-demand composition's cursors
+    state_dist = ComposedLanguageModel(pdfa.language_model(), guide, strategy).dist
     start = (pdfa.initial, guide.initial)
-    init_dist = state_dist(*start)
+    init_dist = state_dist(start)
     if init_dist is None:
         raise AllZeroError("composition is dead at the initial state")
     index = {start: 0}
@@ -582,7 +600,7 @@ def materialize_compose(
                 continue
             target = (lt, guide.delta[g][s])
             if target not in index:
-                tdist = state_dist(*target)
+                tdist = state_dist(target)
                 if tdist is None:
                     if dist.prob(s) > 0:
                         raise AllZeroError(

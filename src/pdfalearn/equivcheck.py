@@ -1,10 +1,9 @@
 """Equivalence checking between PDFA modulo a simplex equivalence.
 
 The checker explores reachable state pairs breadth-first, which makes every
-returned counterexample a shortest conflicting witness. In zero-avoiding
-mode only mutually supported symbols are traversed, so the witness is
-defined in both automata up to the conflict; this is the variant the
-learner's teachers use.
+returned counterexample a shortest conflicting witness. Only mutually
+supported symbols are traversed, so the witness is defined in both automata
+up to the conflict: zero-probability transitions are never walked.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ class HkStats:
     """Instrumentation for the pair exploration."""
 
     pairs_visited: int = 0
-    offsupport_enqueued: int = 0
 
 
 def _conflict_kind(da, db) -> CeKind:
@@ -51,20 +49,16 @@ def hk_equiv(
     a: Pdfa,
     b: Pdfa,
     partitioner: Partitioner,
-    zero_avoiding: bool = True,
     stats: Optional[HkStats] = None,
 ) -> Optional[Counterexample]:
     """Compare two PDFA modulo the partitioner; None means equivalent.
 
-    zero_avoiding=True compares the defined fragments only: successors are
-    explored for symbols in the mutual support, and the verdict is None iff
-    the automata agree (labels and definedness) on every mutually defined
-    string. zero_avoiding=False also walks zero-probability transitions
-    wherever both structures define them.
+    Only the defined fragments are compared: successors are explored for
+    symbols in the mutual support, and the verdict is None iff the automata
+    agree (labels and definedness) on every mutually defined string.
     """
     if a.alphabet != b.alphabet:
         raise AlphabetMismatchError("cannot compare PDFA over different alphabets")
-    m = a.alphabet.size
     start = (a.initial, b.initial)
     parents: dict[tuple[int, int], tuple[Optional[tuple[int, int]], int]] = {start: (None, -1)}
     queue = collections.deque([start])
@@ -85,30 +79,15 @@ def hk_equiv(
         da, db = a.dists[qa], b.dists[qb]
         if da.label(partitioner) != db.label(partitioner):
             return Counterexample(rebuild((qa, qb)), _conflict_kind(da, db))
-        supp_a, supp_b = da.support(), db.support()
-        if zero_avoiding:
-            symbols = sorted(supp_a & supp_b)
-            # labels matched, so under a support-respecting partitioner the
-            # supports coincide and no one-sided symbol can exist; guard anyway
-            if supp_a != supp_b:
-                return Counterexample(rebuild((qa, qb)), CeKind.SUPPORT_MISMATCH)
-        else:
-            symbols = range(m)
-        for s in symbols:
+        # labels matched, so under a support-respecting partitioner the
+        # supports coincide and no one-sided symbol can exist; guard anyway
+        if da.support() != db.support():
+            return Counterexample(rebuild((qa, qb)), CeKind.SUPPORT_MISMATCH)
+        for s in sorted(da.support()):
             ta, tb = a.trans[qa][s], b.trans[qb][s]
             if ta is None or tb is None:
-                if zero_avoiding:
-                    # unreachable: supports matched and in-support transitions exist
-                    return Counterexample(rebuild((qa, qb)) + (s,), CeKind.SUPPORT_MISMATCH)
-                in_supp = s in supp_a or s in supp_b
-                if ta is None and tb is None:
-                    continue
-                if not in_supp:
-                    # a structural zero edge against a missing one carries no mass
-                    continue
+                # unreachable: supports matched and in-support transitions exist
                 return Counterexample(rebuild((qa, qb)) + (s,), CeKind.SUPPORT_MISMATCH)
-            if stats is not None and not (s in supp_a and s in supp_b):
-                stats.offsupport_enqueued += 1
             pair = (ta, tb)
             if pair not in parents:
                 parents[pair] = ((qa, qb), s)

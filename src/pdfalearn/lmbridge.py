@@ -180,11 +180,13 @@ def save_symbol_map(smap: SymbolMap, path):
 class SymbolLanguageModel(LanguageModel):
     """Language model over symbols whose probabilities are token products.
 
-    next(u)(s) multiplies the token model's step probabilities along s's
-    token sequence after u's token context; the per-symbol masses are then
-    renormalized into a distribution. next(u) is None when the context has
-    a zero-probability token step or every symbol mass vanishes.
-    Each token context after BOS is asked for once, on a trie of contexts.
+    The cursor is (node, context): a token context after BOS and its node on
+    a trie of contexts, where each context's next-token map is kept, so the
+    token model is asked once per context. step(c, s) extends the context by
+    s's tokens and is None once their step probabilities multiply to zero.
+    dist(c)(s) multiplies the step probabilities along s's tokens, the
+    terminal takes EOS's, and the masses are renormalized; dist is None when
+    they all vanish.
     """
 
     def __init__(self, tm: TokenModel, smap: SymbolMap, alphabet: Alphabet):
@@ -198,36 +200,32 @@ class SymbolLanguageModel(LanguageModel):
                 raise VocabMismatchError(f"tokens {sorted(missing)} not in the model vocabulary")
         self._root = Prefix()
 
-    def _step(self, node: Prefix, path: list[int]) -> dict[int, float]:
-        """Next-token map at `node`, the trie node of the context BOS·path."""
+    def _tokens(self, node: Prefix, context: tuple[int, ...]) -> dict[int, float]:
+        """Next-token map at `node`, the trie node of BOS·context."""
         if node.value is UNSET:
-            node.value = self.tm.next_tokens((self.tm.bos, *path))
+            node.value = self.tm.next_tokens((self.tm.bos, *context))
         return node.value
 
-    def _extend(self, node: Prefix, path: list[int], tokens: tuple[int, ...]):
-        """Walk `tokens` from `node`, appending them to `path`.
-
-        Returns the node reached and the product of the step probabilities,
-        which is 0.0, and the walk stops, at a zero-probability step.
-        """
+    def _extend(self, node: Prefix, context: tuple[int, ...], tokens: tuple[int, ...]):
+        """The cursor after `tokens` and the product of their step
+        probabilities, or (None, 0.0) once the product vanishes."""
         mass = 1.0
         for t in tokens:
-            p = self._step(node, path).get(t, 0.0)
-            if p <= 0:
-                return node, 0.0
-            mass *= p
-            path.append(t)
-            node = node.child(t)
-        return node, mass
-
-    def next(self, u) -> Optional[Distribution]:
-        node, path = self._root, []
-        for s in u:
-            node, mass = self._extend(node, path, self.sequences[s])
+            mass *= self._tokens(node, context).get(t, 0.0)
             if mass <= 0:
-                return None
-        weights = [self._extend(node, list(path), seq)[1] for seq in self.sequences]
-        weights.append(self._step(node, path).get(self.tm.eos, 0.0))
+                return None, 0.0
+            node, context = node.child(t), context + (t,)
+        return (node, context), mass
+
+    def start(self):
+        return self._root, ()
+
+    def step(self, cursor, s: int):
+        return self._extend(*cursor, self.sequences[s])[0]
+
+    def dist(self, cursor) -> Optional[Distribution]:
+        weights = [self._extend(*cursor, seq)[1] for seq in self.sequences]
+        weights.append(self._tokens(*cursor).get(self.tm.eos, 0.0))
         total = sum(weights)
         if total <= 0:
             return None

@@ -20,7 +20,7 @@ from scipy import stats
 from scipy.special import gammaincc
 
 from .automata import GuideAutomaton, LanguageModel, Pdfa, PdfaLanguageModel, String, SupportEdges
-from .errors import ParseFailureError, UndefinedStartError
+from .errors import AllZeroError, ParseFailureError, UndefinedStartError
 from .fileio import guide_from_spec
 from .simplex import Alphabet
 
@@ -40,29 +40,33 @@ def guided_sample(model: LanguageModel, n: int, max_len: int = 50, seed: int = 0
     """Draw n independent ancestral samples; walks at max_len are truncated.
 
     Deterministic per (seed, n, max_len). Explicit automata take a batched
-    path that steps all pending walks at once.
+    path that steps all pending walks at once; other models are stepped
+    through their cursors. A walk into an undefined state is an AllZeroError.
     """
     if n < 0 or max_len < 1:
         raise ValueError("need n >= 0 and max_len >= 1")
     if n == 0:
         return []
-    if model.next(()) is None:
+    if model.dist(model.start()) is None:
         raise UndefinedStartError("model is undefined at the empty string")
     if isinstance(model, PdfaLanguageModel):
         return _sample_pdfa(model.pdfa, n, max_len, seed)
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n):
-        u: String = ()
+        cursor, u = model.start(), []
         truncated = True
         while len(u) < max_len:
-            dist = model.next(u)
+            dist = model.dist(cursor)
+            if dist is None:  # a guide can lead a sampled step into a dead state
+                raise AllZeroError(f"model is undefined after the sampled prefix {tuple(u)}")
             s = dist.draw(rng)
             if s == dist.alphabet.terminal_index:
                 truncated = False
                 break
-            u = u + (s,)
-        out.append(SampledString(u, truncated))
+            u.append(s)
+            cursor = model.step(cursor, s)
+        out.append(SampledString(tuple(u), truncated))
     return out
 
 

@@ -26,6 +26,7 @@ from pdfalearn.automata import (
 )
 from pdfalearn.automata import GuideAutomaton
 from pdfalearn.errors import AllZeroError, AlphabetMismatchError, UnknownSymbolError
+from pdfalearn.lmbridge import identity_symbol_map, pdfa_token_model, symbol_model
 from pdfalearn.randgen import GenSpec, random_pdfa
 from pdfalearn.simplex import Alphabet, Distribution, ExactPartitioner, TopR
 from pdfalearn.teacher import exact_teacher, filter_teacher
@@ -55,11 +56,18 @@ def test_walk_rejects_unknown_symbols(loop_pdfa):
         walk(loop_pdfa, (7,))
 
 
-@pytest.mark.parametrize("u", [(5,), (-1,), (1, 2), (0, 0, -3)])
+@pytest.mark.parametrize("u", [(5,), (-1,), (1, 2), (0, 0, -3), (0, 1, 5)])
 def test_support_views_reject_unknown_symbols_like_walk(loop_pdfa, ab_alphabet, u):
-    # the support-following views used to report these strings as undefined
+    # the support-following views used to report these strings as undefined,
+    # (0, 1, 5) even after its known prefix (0, 1) left the support
     everything = GuideAutomaton(ab_alphabet, ((1, 1, 1),), ((0, 0),))
-    for lm in (loop_pdfa.language_model(), compose(loop_pdfa.language_model(), everything)):
+    tokens = symbol_model(pdfa_token_model(loop_pdfa), identity_symbol_map(ab_alphabet), ab_alphabet)
+    for lm in (
+        loop_pdfa.language_model(),
+        compose(loop_pdfa.language_model(), everything),
+        tokens,
+        compose(tokens, everything),
+    ):
         for ask in (lm.next, lambda u: is_defined(lm, u), lambda u: label_at(lm, EXACT, u)):
             with pytest.raises(UnknownSymbolError):
                 ask(u)

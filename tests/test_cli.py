@@ -153,6 +153,40 @@ def test_learn_from_endpoint(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_learn_from_endpoint_through_a_guide(tmp_path, capsys):
+    """learn --endpoint --guide learns what the in-process composition learns, with the same counts."""
+    from pdfalearn.automata import GuideAutomaton, compose, isomorphic
+    from pdfalearn.learner import LearnerConfig, LearnerMode, learn
+    from pdfalearn.lmbridge import SymbolMap, TokenModelServer, pdfa_token_model, save_symbol_map, symbol_model
+    from pdfalearn.randgen import GenSpec, random_pdfa
+    from pdfalearn.simplex import Alphabet, QuantizationPartitioner
+    from pdfalearn.teacher import PacParams, pac_teacher
+
+    tokens = random_pdfa(GenSpec(n=6, m=4, theta=0.0, seed=2))
+    smap = SymbolMap((("p", "p", (2,)), ("q", "q", (3, 4)), ("r", "r", (5, 2))))
+    pqr = Alphabet(("p", "q", "r"))
+    # q may not follow p; termination is always allowed
+    guide = GuideAutomaton(pqr, ((1, 1, 1, 1), (1, 0, 1, 1)), ((1, 0, 0), (1, 1, 0)))
+    smap_path, guide_path, out = tmp_path / "map.tsv", tmp_path / "g.guide", tmp_path / "learned.pdfa"
+    save_symbol_map(smap, smap_path)
+    save_guide(guide, guide_path)
+    with TokenModelServer(pdfa_token_model(tokens)) as server:
+        rc = main(
+            ["learn", "--endpoint", server.url, "--symbol-map", str(smap_path), "--guide", str(guide_path),
+             "--strategy", "topp:0.9", "--equiv", "quant:10", "--seed", "4", "--max-len", "20",
+             "--out", str(out)]
+        )
+    assert rc == 0
+    row = capsys.readouterr().out.strip().splitlines()[1].split("\t")
+    partitioner = QuantizationPartitioner(10)
+    model = compose(symbol_model(pdfa_token_model(tokens), smap, pqr), guide, TopP(0.9))
+    teacher = pac_teacher(model, partitioner, PacParams(max_len=20), seed=4)
+    expected = learn(teacher, partitioner, LearnerConfig(mode=LearnerMode.OMIT_ZERO))
+    assert expected.n_states > 1
+    assert isomorphic(load_pdfa(out), expected)
+    assert (int(row[6]), int(row[7])) == (teacher.mq_count, teacher.eq_count)
+
+
 def test_log_level_env_var(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PDFA_LOG", "DEBUG")
     rc = main(["generate", "--n", "3", "--m", "2", "--theta", "0.0", "--seed", "1"])

@@ -79,25 +79,14 @@ def test_verdict_symmetry_and_req8(loop_pdfa, loop_pdfa_top2):
             assert is_defined(pair[1].language_model(), ce.gamma[:k])
 
 
-def test_zero_avoidance_counter(merged_pair_pdfa, merged_pair_quotient_pdfa):
+def test_comparison_never_walks_zero_transitions(merged_pair_pdfa, merged_pair_quotient_pdfa):
+    # merging the twins changes behavior on zero-probability strings only,
+    # which the comparison never walks: it accepts the merge
     stats = HkStats()
-    hk_equiv(merged_pair_pdfa, merged_pair_quotient_pdfa, EXACT, stats=stats)
-    assert stats.offsupport_enqueued == 0
+    assert hk_equiv(merged_pair_pdfa, merged_pair_quotient_pdfa, EXACT, stats=stats) is None
     assert stats.pairs_visited >= 1
-
-
-def test_plain_mode_walks_zero_transitions(merged_pair_pdfa, merged_pair_quotient_pdfa):
-    # merging the twins changes behavior on zero-probability strings only:
-    # zero-avoiding comparison accepts the merge, structural comparison
-    # walks b/0 edges and finds the earliest zero-path disagreement "ab"
-    assert hk_equiv(merged_pair_pdfa, merged_pair_quotient_pdfa, EXACT) is None
-    ce = hk_equiv(merged_pair_pdfa, merged_pair_quotient_pdfa, EXACT, zero_avoiding=False)
-    assert ce is not None and ce.gamma == (0, 1)
     smaller = quotient(merged_pair_pdfa, EXACT)  # positive part only: 1 state
     assert hk_equiv(merged_pair_pdfa, smaller, EXACT) is None
-    # a missing transition against a structural zero edge carries no mass on
-    # either side, so even the structural comparison accepts the 1-state form
-    assert hk_equiv(merged_pair_pdfa, smaller, EXACT, zero_avoiding=False) is None
 
 
 # --- verdict agreement with the exhaustive oracle ---

@@ -3,8 +3,19 @@
 import numpy as np
 import pytest
 
-from pdfalearn.automata import compose, materialize_compose, termination_mass, walk
+import pdfalearn.automata
+from pdfalearn.automata import (
+    GuideAutomaton,
+    Pdfa,
+    PdfaLanguageModel,
+    compose,
+    materialize_compose,
+    next_dist,
+    termination_mass,
+    walk,
+)
 from pdfalearn.errors import (
+    AllZeroError,
     NondeterministicSpecError,
     ParseFailureError,
     UndefinedStartError,
@@ -21,7 +32,7 @@ from pdfalearn.pipeline import (
     parse_float_value,
 )
 from pdfalearn.randgen import GenSpec, random_pdfa
-from pdfalearn.simplex import Alphabet, TopR
+from pdfalearn.simplex import Alphabet, Distribution, TopR
 
 
 # --- guided sampling ---
@@ -69,6 +80,34 @@ def test_generic_model_sampling_agrees_with_materialized(sync_model_pdfa, sync_g
     comp = compose(sync_model_pdfa.language_model(), sync_guide, TopR(2))
     samples = guided_sample(comp, 200, max_len=40, seed=3)
     assert all(s.symbols[:1] in ((0,), ()) for s in samples)  # b masked at the start
+
+
+def test_sampling_into_a_dead_state_is_a_package_error(ab_alphabet):
+    loop = Pdfa(ab_alphabet, (Distribution(ab_alphabet, (0.5, 0.25, 0.25)),), ((0, 0),))
+    # "a" is the only move allowed, and it leads to a state that allows nothing
+    guide = GuideAutomaton(ab_alphabet, masks=((1, 0, 0), (0, 0, 0)), delta=((1, 1), (1, 1)))
+    with pytest.raises(AllZeroError):
+        guided_sample(compose(loop.language_model(), guide), 3)
+
+
+def test_composition_normalises_once_per_product_state(monkeypatch):
+    digits = Alphabet(("dot",) + tuple(str(d) for d in range(10)))
+    base = random_pdfa(GenSpec(n=20, m=11, theta=0.0, seed=1), alphabet=digits)
+    product = materialize_compose(base, digit_guide(), TopR(6))
+    calls = []
+    real = pdfalearn.automata.apply_sampling
+
+    def counting(strategy, dist):
+        calls.append(dist)
+        return real(strategy, dist)
+
+    monkeypatch.setattr(pdfalearn.automata, "apply_sampling", counting)
+    comp = compose(PdfaLanguageModel(base), digit_guide(), TopR(6))
+    samples = guided_sample(comp, 1000, max_len=25, seed=1)
+    assert 0 < len(calls) <= product.n_states
+    for s in samples:
+        for j in range(len(s.symbols) + 1):
+            assert comp.next(s.symbols[:j]) == next_dist(product, s.symbols[:j])
 
 
 # --- value parsing ---

@@ -148,10 +148,10 @@ class ConstantModel(LanguageModel):
 
     def __init__(self, dist: Distribution):
         self.alphabet = dist.alphabet
-        self.dist = dist
+        self.answer = dist
 
     def next(self, u) -> Optional[Distribution]:
-        return self.dist
+        return self.answer
 
 
 class ConstantTokens(TokenModel):
