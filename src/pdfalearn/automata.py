@@ -118,6 +118,9 @@ class LanguageModel:
     empty string, step(c, s), None when s leaves the support of dist(c), and
     dist(c), None where undefined. A model overrides `next` or all three;
     one that overrides only `next` is read with its prefix as the cursor.
+    dists(cursors) and next_many(strings) answer several at once; a model
+    that can resolve cursors together (one request to a served model)
+    overrides `dists`.
     """
 
     alphabet: Alphabet
@@ -131,8 +134,12 @@ class LanguageModel:
     def dist(self, cursor) -> Optional[Distribution]:
         return self.next(cursor)
 
-    def next(self, u: Sequence[int]) -> Optional[Distribution]:
-        """Fold `step` over u; an unknown symbol anywhere in u raises, as in `walk`."""
+    def dists(self, cursors: Sequence) -> list[Optional[Distribution]]:
+        return [self.dist(c) for c in cursors]
+
+    def cursor(self, u: Sequence[int]):
+        """Fold `step` over u: the cursor after u, or None once a step leaves
+        the support. An unknown symbol anywhere in u raises, as in `walk`."""
         if not _indices(self.alphabet.size).issuperset(u):
             bad = next(s for s in u if not 0 <= s < self.alphabet.size)
             raise UnknownSymbolError(f"symbol index {bad} not in alphabet")
@@ -141,7 +148,17 @@ class LanguageModel:
             cursor = step(cursor, s)
             if cursor is None:
                 return None
-        return self.dist(cursor)
+        return cursor
+
+    def next(self, u: Sequence[int]) -> Optional[Distribution]:
+        cursor = self.cursor(u)
+        return None if cursor is None else self.dist(cursor)
+
+    def next_many(self, strings: Sequence[Sequence[int]]) -> list[Optional[Distribution]]:
+        """next(u) for every u, the defined ones resolved by one `dists` call."""
+        cursors = [self.cursor(u) for u in strings]
+        found = iter(self.dists([c for c in cursors if c is not None]))
+        return [None if c is None else next(found) for c in cursors]
 
 
 UNSET = object()  # value of a trie node whose string has not been evaluated
@@ -529,7 +546,8 @@ class ComposedLanguageModel(LanguageModel):
     masks the inner model's with the guide state's mask, renormalizes, and
     applies the sampling strategy; it is None where the inner model is
     undefined or the masked weights all vanish. Each pair's distribution is
-    computed once: over a PDFA the pairs are the product's states.
+    computed once: over a PDFA the pairs are the product's states. `dists`
+    hands the inner model every pair it has not computed in one call.
     """
 
     def __init__(self, model: LanguageModel, guide: GuideAutomaton, strategy: SamplingStrategy = None):
@@ -554,12 +572,16 @@ class ComposedLanguageModel(LanguageModel):
 
     def dist(self, cursor) -> Optional[Distribution]:
         dist = self._dists.get(cursor, UNSET)
-        if dist is UNSET:
-            inner, g = cursor
-            dist = self.model.dist(inner)
-            masked = None if dist is None else _masked(dist, self.guide.masks[g])
-            dist = self._dists[cursor] = None if masked is None else apply_sampling(self.strategy, masked)
-        return dist
+        return self.dists((cursor,))[0] if dist is UNSET else dist
+
+    def dists(self, cursors: Sequence) -> list[Optional[Distribution]]:
+        """The pairs not yet computed resolve their inner cursors in one inner `dists` call."""
+        todo = [c for c in dict.fromkeys(cursors) if c not in self._dists]
+        if todo:
+            for (inner, g), dist in zip(todo, self.model.dists([inner for inner, _ in todo])):
+                masked = None if dist is None else _masked(dist, self.guide.masks[g])
+                self._dists[inner, g] = None if masked is None else apply_sampling(self.strategy, masked)
+        return [self._dists[c] for c in cursors]
 
 
 def compose(

@@ -290,6 +290,7 @@ def build(
     alphabet,
     mode: LearnerMode = LearnerMode.OMIT_ZERO,
     monitor: Optional[LearnerMonitor] = None,
+    prefetch: Optional[Callable[[String, list[int]], None]] = None,
 ) -> tuple[Pdfa, list[String]]:
     """Construct the hypothesis for the current tree.
 
@@ -301,6 +302,11 @@ def build(
     discovers sorts after the leaf being filled, so the same pass fills its
     row in turn. Queries thus come in the order of sifting every pair afresh
     until no leaf appears. State indices follow the final leaf order.
+
+    Before it sifts a new leaf's row, build hands `prefetch` the row's
+    symbols whose strings the memo lacks. Such a string was never sifted,
+    so its sift starts at the root and asks it: a teacher may ask them
+    together, and the queries and their order stay the same.
     """
     m = alphabet.size
     leaves = tree.defined_leaves()
@@ -308,12 +314,15 @@ def build(
     while i < len(leaves):
         leaf = leaves[i]
         i += 1
-        if leaf.row is None:
+        fresh = leaf.row is None
+        if fresh:
             leaf.row = [None] * m
             scope = sorted(leaf.dist.support()) if mode is LearnerMode.OMIT_ZERO else range(m)
         else:
             scope = sorted(tree.redirected.pop(leaf, ()))
         at = memo.root.find(leaf.string) if scope else None
+        if fresh and prefetch is not None and scope:
+            prefetch(leaf.string, [s for s in scope if at.child(s).value is UNSET])
         for s in scope:
             target, grew = sift(tree, memo, leaf.string + (s,), mode, monitor, at.child(s))
             leaf.row[s] = target
@@ -437,6 +446,12 @@ def learn(teacher: Teacher, partitioner: Partitioner, config: Optional[LearnerCo
 
     # a string whose query raised is never stored, so the guards see it again
     memo = MemoModel(teacher.alphabet, ask)
+    # a guard may refuse a row's later strings, which then must not reach
+    # the model: under a guard nothing is asked ahead. A duck-typed
+    # teacher may have no `prefetch`.
+    guarded = config.max_queries is not None or config.max_query_len is not None
+    prefetch = None if guarded else getattr(teacher, "prefetch", None)
+
     root_dist = memo.next(())
     if root_dist is None:
         raise TeacherUndefinedError("model undefined at the empty string")
@@ -450,7 +465,7 @@ def learn(teacher: Teacher, partitioner: Partitioner, config: Optional[LearnerCo
 
     prev_states = hypothesis.n_states
     for _ in range(config.max_iterations):
-        hypothesis, access = build(tree, memo, teacher.alphabet, mode, monitor)
+        hypothesis, access = build(tree, memo, teacher.alphabet, mode, monitor, prefetch)
         if monitor:
             monitor.progress(prev_states, hypothesis.n_states)
         prev_states = hypothesis.n_states

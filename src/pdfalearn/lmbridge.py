@@ -8,10 +8,14 @@ and guides can work over a small symbol alphabet regardless of tokenizer
 granularity.
 
 Served models speak a small JSON protocol: POST {"context": [token ids]}
-to ENDPOINT_PATH, answered {"probs": {token id: probability}}, or 4xx with
-{"error": detail}. Connections are HTTP/1.1 and kept alive, one per
-client; a request the server cannot parse is answered 400 and its
-connection closed.
+to ENDPOINT_PATH, answered {"probs": {token id: probability}}, or POST
+{"contexts": [[token ids], ...]} to BATCH_PATH, answered {"probs": [{token
+id: probability}, ...]} in the same order; a model error is 4xx with
+{"error": detail}, and for a batch also the "index" of the context that
+failed. Connections are HTTP/1.1 and kept alive, one per client; a request
+the server cannot parse is answered 400 and its connection closed. The
+client asks everything through BATCH_PATH, so a symbol-level distribution
+costs one request per token depth.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 from urllib.parse import urlsplit
 
-from .automata import UNSET, LanguageModel, Pdfa, Prefix, next_dist
+from .automata import UNSET, LanguageModel, Pdfa, Prefix
 from .errors import ModelFailureError, ParseFailureError, ProtocolError, TransportError, VocabMismatchError
 from .fileio import read_text
 from .simplex import Alphabet, Distribution
@@ -35,6 +39,7 @@ from .simplex import Alphabet, Distribution
 logger = logging.getLogger(__name__)
 
 ENDPOINT_PATH = "/v1/next_token_distribution"
+BATCH_PATH = "/v1/next_token_distributions"
 SUM_TOLERANCE = 1e-6
 MAX_REQUEST_BYTES = 1 << 24
 
@@ -54,9 +59,17 @@ class TokenModel:
     def next_tokens(self, context: tuple[int, ...]) -> dict[int, float]:
         raise NotImplementedError
 
+    def next_tokens_many(self, contexts: list[tuple[int, ...]]) -> list[dict[int, float]]:
+        """next_tokens of every context, in order; a served model answers them in one request."""
+        return [self.next_tokens(c) for c in contexts]
+
 
 class PdfaTokenModel(TokenModel):
-    """Fully-defined PDFA over tokens; the test double for a served model."""
+    """Fully-defined PDFA over tokens; the test double for a served model.
+
+    It keeps the state of every context it has answered, so a context whose
+    parent was asked costs one step.
+    """
 
     def __init__(self, pdfa: Pdfa, token_ids: Optional[list[int]] = None, bos: int = 0, eos: int = 1):
         if not pdfa.is_total():
@@ -72,18 +85,24 @@ class PdfaTokenModel(TokenModel):
             raise ValueError("token ids must be distinct from each other and from BOS/EOS")
         self.vocab = frozenset(ids)
         self._sym_of = {t: i for i, t in enumerate(self.token_ids)}
+        self._states = {(): pdfa.initial, (bos,): pdfa.initial}  # every context asked so far
 
     def next_tokens(self, context: tuple[int, ...]) -> dict[int, float]:
         context = tuple(context)
-        if context[:1] == (self.bos,):
-            context = context[1:]
-        try:
-            symbols = tuple(self._sym_of[t] for t in context)
-        except KeyError as exc:
-            raise VocabMismatchError(f"token {exc.args[0]} not in vocabulary") from None
-        dist = next_dist(self.pdfa, symbols)
-        if dist is None:
-            raise VocabMismatchError("context walks off the automaton")
+        q = self._states.get(context)
+        if q is None:
+            # a symbol bridge asks a context's parent before it: one step
+            # from the parent's state; any other context walks from the start
+            q, rest = self._states.get(context[:-1]), context[-1:]
+            if q is None:
+                q, rest = self.pdfa.initial, context[1:] if context[:1] == (self.bos,) else context
+            try:
+                for t in rest:
+                    q = self.pdfa.trans[q][self._sym_of[t]]
+            except KeyError as exc:
+                raise VocabMismatchError(f"token {exc.args[0]} not in vocabulary") from None
+            self._states[context] = q
+        dist = self.pdfa.dists[q]
         out = {t: float(dist.prob(i)) for i, t in enumerate(self.token_ids)}
         out[self.eos] = float(dist.terminal_prob)
         return out
@@ -177,16 +196,37 @@ def save_symbol_map(smap: SymbolMap, path):
 # Symbol-level view of a token model
 # ---------------------------------------------------------------------------
 
+class _Context(Prefix):
+    """A node on the trie of token contexts; `tokens` is its context, BOS first."""
+
+    __slots__ = ("tokens",)
+
+    def __init__(self, tokens: tuple[int, ...]):
+        super().__init__()
+        self.tokens = tokens
+
+    def child(self, t: int) -> "_Context":
+        node = self.get(t)
+        if node is None:
+            node = self[t] = _Context(self.tokens + (t,))
+        return node
+
+
 class SymbolLanguageModel(LanguageModel):
     """Language model over symbols whose probabilities are token products.
 
-    The cursor is (node, context): a token context after BOS and its node on
-    a trie of contexts, where each context's next-token map is kept, so the
-    token model is asked once per context. step(c, s) extends the context by
-    s's tokens and is None once their step probabilities multiply to zero.
-    dist(c)(s) multiplies the step probabilities along s's tokens, the
-    terminal takes EOS's, and the masses are renormalized; dist is None when
-    they all vanish.
+    The cursor is a node on a trie of token contexts, which keeps its
+    context and, once asked, the token model's next-token map there, so
+    each context is asked once. step(c, s) follows s's tokens and is None
+    once their step probabilities multiply to zero. dist(c)(s) multiplies
+    the step probabilities along s's tokens, the terminal takes EOS's, and
+    the masses are renormalized; dist is None when they all vanish.
+
+    `dists` resolves its cursors together, one token depth per wave: each
+    wave asks every context the products stopped at in one
+    `next_tokens_many` call. A product stops where `step`'s arithmetic
+    would, so the contexts asked are those that asking one at a time
+    would ask.
     """
 
     def __init__(self, tm: TokenModel, smap: SymbolMap, alphabet: Alphabet):
@@ -198,38 +238,59 @@ class SymbolLanguageModel(LanguageModel):
             missing = used - set(tm.vocab)
             if missing:
                 raise VocabMismatchError(f"tokens {sorted(missing)} not in the model vocabulary")
-        self._root = Prefix()
+        # EOS's weight is the one-token product (EOS,)
+        self._products = [*self.sequences, (tm.eos,)]
+        self._root = _Context((tm.bos,))
 
-    def _tokens(self, node: Prefix, context: tuple[int, ...]) -> dict[int, float]:
-        """Next-token map at `node`, the trie node of BOS·context."""
-        if node.value is UNSET:
-            node.value = self.tm.next_tokens((self.tm.bos, *context))
-        return node.value
+    def start(self) -> _Context:
+        return self._root
 
-    def _extend(self, node: Prefix, context: tuple[int, ...], tokens: tuple[int, ...]):
-        """The cursor after `tokens` and the product of their step
-        probabilities, or (None, 0.0) once the product vanishes."""
+    def step(self, node: _Context, s: int) -> Optional[_Context]:
         mass = 1.0
-        for t in tokens:
-            mass *= self._tokens(node, context).get(t, 0.0)
+        for t in self.sequences[s]:
+            if node.value is UNSET:
+                node.value = self.tm.next_tokens(node.tokens)
+            mass *= node.value.get(t, 0.0)
             if mass <= 0:
-                return None, 0.0
-            node, context = node.child(t), context + (t,)
-        return (node, context), mass
+                return None
+            node = node.child(t)
+        return node
 
-    def start(self):
-        return self._root, ()
+    def dists(self, cursors) -> list[Optional[Distribution]]:
+        products = self._products
+        weights = [[0.0] * len(products) for _ in cursors]
+        # (cursor index, product index, tokens multiplied, node, mass so far)
+        walks = [(i, j, 0, node, 1.0) for i, node in enumerate(cursors) for j in range(len(products))]
+        while walks:
+            waiting = []
+            for i, j, k, node, mass in walks:
+                tokens = products[j]
+                while True:
+                    probs = node.value
+                    if probs is UNSET:
+                        waiting.append((i, j, k, node, mass))
+                        break
+                    mass *= probs.get(tokens[k], 0.0)
+                    k += 1
+                    if mass <= 0:
+                        break
+                    if k == len(tokens):
+                        weights[i][j] = mass
+                        break
+                    node = node.child(tokens[k - 1])
+            if waiting:
+                nodes = list(dict.fromkeys(walk[3] for walk in waiting))
+                for node, probs in zip(nodes, self.tm.next_tokens_many([n.tokens for n in nodes]), strict=True):
+                    node.value = probs
+            walks = waiting
+        out = []
+        for row in weights:
+            total = sum(row)
+            out.append(Distribution(self.alphabet, tuple(w / total for w in row)) if total > 0 else None)
+        return out
 
-    def step(self, cursor, s: int):
-        return self._extend(*cursor, self.sequences[s])[0]
-
-    def dist(self, cursor) -> Optional[Distribution]:
-        weights = [self._extend(*cursor, seq)[1] for seq in self.sequences]
-        weights.append(self._tokens(*cursor).get(self.tm.eos, 0.0))
-        total = sum(weights)
-        if total <= 0:
-            return None
-        return Distribution(self.alphabet, tuple(w / total for w in weights))
+    def dist(self, node: _Context) -> Optional[Distribution]:
+        return self.dists((node,))[0]
 
 
 def symbol_model(tm: TokenModel, smap: SymbolMap, alphabet: Alphabet) -> SymbolLanguageModel:
@@ -241,17 +302,19 @@ def symbol_model(tm: TokenModel, smap: SymbolMap, alphabet: Alphabet) -> SymbolL
 # ---------------------------------------------------------------------------
 
 class RemoteTokenModel(TokenModel):
-    """Client for a served token model; caches one answer per context.
+    """Client for a served token model.
 
+    Every fetch is one batch request, a single context a batch of one.
     Requests go over one kept-alive connection, opened on first use and
     opened again after any transport failure. close() releases it; the
-    client is also a context manager.
+    client is also a context manager. It keeps no answers: the symbol
+    bridge's trie asks each context once.
     """
 
     vocab = None
 
     def __init__(self, endpoint: str, bos: int = 0, eos: int = 1, timeout: float = 10.0, retries: int = 3):
-        self.endpoint = endpoint.rstrip("/") + ENDPOINT_PATH
+        self.endpoint = endpoint.rstrip("/") + BATCH_PATH
         try:
             url = urlsplit(self.endpoint)
             port = url.port
@@ -267,12 +330,11 @@ class RemoteTokenModel(TokenModel):
         self.timeout = timeout
         self.retries = retries
         self.request_count = 0
-        self._cache: dict[tuple[int, ...], dict[int, float]] = {}
         self._lock = threading.Lock()
 
-    def _fetch(self, context: tuple[int, ...]) -> dict[int, float]:
+    def _fetch(self, contexts: list[tuple[int, ...]]) -> list[dict[int, float]]:
         """Ask the server; only connection errors and 5xx answers are retried."""
-        payload = json.dumps({"context": list(context)}).encode()
+        payload = json.dumps({"contexts": [list(c) for c in contexts]}).encode()
         last_error = None
         for attempt in range(self.retries):
             if attempt:
@@ -291,20 +353,24 @@ class RemoteTokenModel(TokenModel):
                 continue
             if resp.status != 200:  # the model's own answer: asking again repeats it
                 detail = text.decode("utf-8", errors="replace")
-                raise ModelFailureError(context, f"HTTP {resp.status}: {detail}")
+                raise ModelFailureError(_failed_context(text, contexts), f"HTTP {resp.status}: {detail}")
             try:
                 body = json.loads(text)
             except ValueError as exc:
                 raise ProtocolError(f"response is not JSON: {exc}") from exc
-            return _validate_probs(body)
+            probs = body.get("probs") if isinstance(body, dict) else None
+            if not isinstance(probs, list) or len(probs) != len(contexts):
+                raise ProtocolError(f"response must be an object with a list of {len(contexts)} 'probs' maps")
+            return [_validate_probs(p) for p in probs]
         raise TransportError(f"request failed after {self.retries} attempts: {last_error}")
 
     def next_tokens(self, context) -> dict[int, float]:
-        context = tuple(context)
+        return self.next_tokens_many([context])[0]
+
+    def next_tokens_many(self, contexts) -> list[dict[int, float]]:
+        contexts = [tuple(c) for c in contexts]
         with self._lock:  # one exchange at a time on the shared connection
-            if context not in self._cache:
-                self._cache[context] = self._fetch(context)
-            return self._cache[context]
+            return self._fetch(contexts)
 
     def close(self):
         self._conn.close()
@@ -316,11 +382,20 @@ class RemoteTokenModel(TokenModel):
         self.close()
 
 
-def _validate_probs(body) -> dict[int, float]:
-    if not isinstance(body, dict) or "probs" not in body or not isinstance(body["probs"], dict):
-        raise ProtocolError("response must be an object with a 'probs' map")
+def _failed_context(text: bytes, contexts: list):
+    """The context a 4xx answer names by its "index"; the whole batch if it names none."""
+    try:
+        index = json.loads(text).get("index")
+    except (ValueError, AttributeError):
+        index = None
+    return contexts[index] if type(index) is int and 0 <= index < len(contexts) else contexts
+
+
+def _validate_probs(probs) -> dict[int, float]:
+    if not isinstance(probs, dict):
+        raise ProtocolError("each 'probs' entry must be a map from token id to probability")
     out = {}
-    for key, value in body["probs"].items():
+    for key, value in probs.items():
         try:
             token = int(key)
             p = float(value)
@@ -341,25 +416,32 @@ def remote_token_model(
     return RemoteTokenModel(endpoint, bos, eos, timeout, retries)
 
 
-def _read_context(headers, rfile) -> tuple[int, ...]:
-    """The token context a request asks about; ValueError or RecursionError if it is malformed."""
+def _read_contexts(path: str, headers, rfile) -> list[tuple[int, ...]]:
+    """The token contexts a request asks about, one for ENDPOINT_PATH;
+    ValueError or RecursionError if it is malformed."""
     length = int(headers.get("Content-Length", "0"))
     if not 0 <= length <= MAX_REQUEST_BYTES:  # the body buffer is allocated up front
         raise ValueError(f"Content-Length {length} is outside 0..{MAX_REQUEST_BYTES}")
     body = json.loads(rfile.read(length))
-    context = body.get("context") if isinstance(body, dict) else None
-    if not isinstance(context, list) or not all(type(t) is int for t in context):
-        raise ValueError("'context' must be a list of integer token ids")
-    return tuple(context)
+    body = body if isinstance(body, dict) else {}
+    contexts = body.get("contexts") if path == BATCH_PATH else [body.get("context")]
+    if not isinstance(contexts, list):
+        raise ValueError("'contexts' must be a list of token id lists")
+    for context in contexts:
+        if not isinstance(context, list) or not all(type(t) is int for t in context):
+            raise ValueError("'context' must be a list of integer token ids")
+    return [tuple(c) for c in contexts]
 
 
 class TokenModelServer:
     """Threaded HTTP/1.1 server exposing a TokenModel over the wire protocol.
 
-    Connections are kept alive between requests. A request the server
-    cannot parse is answered 400 and its connection closed, since the rest
-    of that stream cannot be trusted; so is a 404. stop() also ends the
-    kept-alive connections that are still open.
+    A batch's contexts are answered in order, and the first whose model
+    call raises is answered 400 with its index. Connections are kept alive
+    between requests. A request the server cannot parse is answered 400 and
+    its connection closed, since the rest of that stream cannot be trusted;
+    so is a 404. stop() also ends the kept-alive connections that are still
+    open.
     """
 
     def __init__(self, model: TokenModel, host: str = "127.0.0.1", port: int = 0):
@@ -385,20 +467,24 @@ class TokenModelServer:
                 super().finish()
 
             def do_POST(self):  # noqa: N802 (stdlib naming)
-                if self.path != ENDPOINT_PATH:
+                if self.path not in (ENDPOINT_PATH, BATCH_PATH):
                     self.send_error(404)  # closes the connection: the body is left unread
                     return
                 try:
-                    context = _read_context(self.headers, self.rfile)
+                    contexts = _read_contexts(self.path, self.headers, self.rfile)
                 except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
                     self._reply(400, {"error": f"bad request: {type(exc).__name__}: {exc}"}, close=True)
                     return
-                try:
-                    probs = outer.model.next_tokens(context)
-                except Exception as exc:  # surface model errors as HTTP 400
-                    self._reply(400, {"error": f"{type(exc).__name__}: {exc}"})
-                    return
-                self._reply(200, {"probs": {str(t): p for t, p in probs.items()}})
+                answers = []
+                for index, context in enumerate(contexts):
+                    try:
+                        probs = outer.model.next_tokens(context)
+                    except Exception as exc:  # surface model errors as HTTP 400
+                        error = {"error": f"{type(exc).__name__}: {exc}"}
+                        self._reply(400, error if self.path == ENDPOINT_PATH else {**error, "index": index})
+                        return
+                    answers.append({str(t): p for t, p in probs.items()})
+                self._reply(200, {"probs": answers[0] if self.path == ENDPOINT_PATH else answers})
 
             def _reply(self, status: int, body: dict, close: bool = False):
                 payload = json.dumps(body, ensure_ascii=False).encode()

@@ -33,6 +33,13 @@ class Teacher:
     def mq(self, u) -> Optional[Distribution]:
         raise NotImplementedError
 
+    def prefetch(self, prefix, symbols) -> None:
+        """Notice that mq(prefix + (s,)) follows for every s in `symbols`.
+
+        A teacher that can ask its model about them together does so here;
+        mq's counts and answers stay the same.
+        """
+
     def eq(self, hypothesis: Pdfa, partitioner: Optional[Partitioner] = None):
         raise NotImplementedError
 
@@ -103,7 +110,8 @@ class PacTeacher(Teacher):
     distributions, so all its prefixes are defined in the hypothesis and any
     disagreement with the model yields a valid counterexample directly.
     The model is asked once per distinct string, through a memo shared by
-    membership and equivalence queries.
+    membership and equivalence queries; `prefetch` asks a built row's
+    strings together.
     """
 
     def __init__(self, model: LanguageModel, partitioner: Partitioner, params: PacParams, seed=0):
@@ -128,6 +136,23 @@ class PacTeacher(Teacher):
     def mq(self, u) -> Optional[Distribution]:
         self.mq_count += 1
         return self._memo.next(u)
+
+    def prefetch(self, prefix, symbols) -> None:
+        """Ask the model about the strings prefix·s the memo lacks in one
+        `next_many` call. It counts them as misses, as `mq` would; if the
+        call fails, nothing is kept and `mq` asks them one at a time."""
+        prefix = tuple(prefix)
+        node = self._memo.root.find(prefix)
+        todo = [s for s in symbols if node.child(s).value is UNSET]
+        if not todo:
+            return
+        try:
+            answers = self.model.next_many([prefix + (s,) for s in todo])
+        except (TransportError, PdfaError):
+            return
+        for s, dist in zip(todo, answers):
+            node[s].value = dist
+        self._memo.misses += len(todo)
 
     def _walk(self, hypothesis: Pdfa) -> tuple:
         q = hypothesis.initial

@@ -7,8 +7,11 @@ import pytest
 from pdfalearn.automata import Pdfa
 from pdfalearn.errors import ModelFailureError, ParseFailureError, ProtocolError, TransportError, VocabMismatchError
 from pdfalearn.lmbridge import (
+    BATCH_PATH,
+    MAX_REQUEST_BYTES,
     PdfaTokenModel,
     SymbolMap,
+    TokenModel,
     TokenModelServer,
     identity_symbol_map,
     load_symbol_map,
@@ -184,16 +187,49 @@ def test_symbol_map_duplicate_sequences_logged(caplog):
 
 # --- wire protocol ---
 
-def test_remote_round_trip_and_cache(token_target):
+def test_remote_round_trip(token_target):
     tm = pdfa_token_model(token_target)
     with TokenModelServer(tm) as server, remote_token_model(server.url) as client:
-        first = client.next_tokens(())
-        assert first == tm.next_tokens(())
-        before = client.request_count
-        again = client.next_tokens(())
-        assert again == first
-        assert client.request_count == before  # cache hit
+        assert client.next_tokens(()) == tm.next_tokens(())
         assert client.next_tokens((2,)) == tm.next_tokens((2,))
+        contexts = [(2,), (), (0, 3, 2)]
+        assert client.next_tokens_many(contexts) == [tm.next_tokens(c) for c in contexts]
+    assert client.request_count == 3  # a batch is one request
+
+
+class RecordingServed(PdfaTokenModel):
+    """A served token model that records every context it answers."""
+
+    def __init__(self, pdfa, token_ids=None):
+        super().__init__(pdfa, token_ids)
+        self.asked = []
+
+    def next_tokens(self, context):
+        self.asked.append(tuple(context))
+        return super().next_tokens(context)
+
+
+def test_learning_through_the_bridge_asks_the_server_each_context_once(token_target):
+    """The client keeps no answers: the bridge's trie asks each context once, and asking again costs no request."""
+    from pdfalearn.learner import learn
+    from pdfalearn.simplex import ExactPartitioner
+    from pdfalearn.teacher import PacParams, pac_teacher
+
+    served = RecordingServed(token_target)
+    with TokenModelServer(served) as server, remote_token_model(server.url) as client:
+        model = symbol_model(client, identity_symbol_map(token_target.alphabet), token_target.alphabet)
+        teacher = pac_teacher(model, ExactPartitioner(), PacParams(max_len=20), seed=2)
+        learn(teacher, ExactPartitioner())
+        strings = [()]
+        for u in strings:
+            if len(u) < 4:
+                strings.extend(u + (s,) for s in range(token_target.alphabet.size))
+        first = [model.next(u) for u in strings]
+        before = client.request_count
+        assert [model.next(u) for u in strings] == first
+        assert client.request_count == before
+    assert len(served.asked) > 10
+    assert len(served.asked) == len(set(served.asked))
 
 
 def test_remote_rejects_unnormalized_payload():
@@ -242,6 +278,29 @@ def test_remote_model_error_fails_at_once_with_the_servers_detail():
     assert Failing.calls == 1
     assert client.request_count == 1
     assert "HTTP 400" in str(err.value) and err.value.prefix == (0, 2)
+
+
+def test_remote_model_error_in_a_batch_names_its_context():
+    """A model error on one context of a batch fails the batch at once, naming that context."""
+
+    class FailsOnOne(PdfaTokenModel):
+        calls = 0
+
+        def next_tokens(self, context):
+            FailsOnOne.calls += 1
+            if tuple(context) == (0, 2, 3):
+                raise ValueError("context runs past the model's window")
+            return super().next_tokens(context)
+
+    ab = Alphabet(("a", "b"))
+    inner = Pdfa(ab, (Distribution.from_map(ab, {"a": 0.5, "b": 0.5}),), ((0, 0),))
+    with TokenModelServer(FailsOnOne(inner)) as server:
+        with remote_token_model(server.url, retries=3) as client:
+            with pytest.raises(ModelFailureError, match="context runs past the model's window") as err:
+                client.next_tokens_many([(0,), (0, 2), (0, 2, 3), (0, 3)])
+    assert FailsOnOne.calls == 3  # answered in order up to the failing context
+    assert client.request_count == 1
+    assert "HTTP 400" in str(err.value) and err.value.prefix == (0, 2, 3)
 
 
 def test_remote_transport_error_after_retries():
@@ -334,13 +393,35 @@ def _raw_exchange(url: str, request: bytes) -> tuple[int, dict, bytes]:
     ],
 )
 def test_server_answers_a_malformed_request_400_and_closes(token_target, content_length, body):
-    import json
-
     from pdfalearn.lmbridge import ENDPOINT_PATH
+
+    _assert_400_and_closed(token_target, ENDPOINT_PATH, content_length, body)
+
+
+@pytest.mark.parametrize(
+    "content_length, body",
+    [
+        pytest.param(None, b'{"contexts": "23"}', id="batch-string-contexts"),
+        pytest.param(None, b'{"contexts": [2, 3]}', id="batch-context-not-a-list"),
+        pytest.param(None, b'{"context": [2, 3]}', id="batch-without-contexts"),
+        pytest.param(None, b'{"contexts": [[2], [2, "3"]]}', id="batch-string-token"),
+        pytest.param(None, b'{"contexts": [[2.5]]}', id="batch-float-token"),
+        pytest.param(
+            None, b'{"contexts": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", id="batch-nested-past-json-depth"
+        ),
+        pytest.param(str(MAX_REQUEST_BYTES + 1), b'{"contexts": [[]]}', id="batch-over-max-request-bytes"),
+    ],
+)
+def test_server_answers_a_malformed_batch_400_and_closes(token_target, content_length, body):
+    _assert_400_and_closed(token_target, BATCH_PATH, content_length, body)
+
+
+def _assert_400_and_closed(token_target, path, content_length, body):
+    import json
 
     length = str(len(body)) if content_length is None else content_length
     request = (
-        f"POST {ENDPOINT_PATH} HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n"
+        f"POST {path} HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n"
         f"Content-Length: {length}\r\n\r\n"
     ).encode() + body
     with TokenModelServer(pdfa_token_model(token_target)) as server:
@@ -348,3 +429,126 @@ def test_server_answers_a_malformed_request_400_and_closes(token_target, content
     assert status == 400
     assert headers.get("connection") == "close"
     assert "error" in json.loads(reply)
+
+
+# --- batched asks against the one-context-per-request path ---
+
+
+class CountingRows(tuple):
+    """A transition table that counts the rows read, one per automaton step."""
+
+    reads = 0
+
+    def __getitem__(self, q):
+        self.reads += 1
+        return tuple.__getitem__(self, q)
+
+
+def test_pdfa_token_model_steps_from_the_parents_state(token_target):
+    """The first query of an L-symbol string steps the token automaton about
+    L times in all, not once per symbol of every prefix."""
+    rows = CountingRows(token_target.trans)
+    tm = pdfa_token_model(Pdfa(token_target.alphabet, token_target.dists, rows))
+    lm = symbol_model(tm, identity_symbol_map(token_target.alphabet), token_target.alphabet)
+    length = 1000
+    assert lm.next((0,) * length) is not None  # a, then a's loop with probability 0.6
+    assert rows.reads <= 2 * length
+    # a context whose parent was never asked walks from the start, without recursion
+    deep = (tm.bos,) + (3,) * 5000
+    assert tm.next_tokens(deep) == tm.next_tokens((3,) * 2)
+
+
+class NextOnly(TokenModel):
+    """A token model with `next_tokens` alone: one request per context."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.vocab = inner.vocab
+        self.bos = inner.bos
+        self.eos = inner.eos
+
+    def next_tokens(self, context):
+        return self.inner.next_tokens(context)
+
+
+class Unprefetched:
+    """A duck-typed teacher that forwards queries and has no `prefetch`."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.alphabet = inner.alphabet
+
+    @property
+    def mq_count(self):
+        return self.inner.mq_count
+
+    def mq(self, u):
+        return self.inner.mq(u)
+
+    def eq(self, hypothesis, partitioner=None):
+        return self.inner.eq(hypothesis, partitioner)
+
+
+def _served_pipelines():
+    """Criterion 9's pipeline, then ten seeded served models behind a
+    multi-token symbol map, a guide and top-p, as in a served-model run."""
+    from test_acceptance import _hermetic_setup
+
+    from pdfalearn.automata import GuideAutomaton
+    from pdfalearn.randgen import GenSpec, random_pdfa
+    from pdfalearn.simplex import ExactPartitioner, QuantizationPartitioner, TopP
+    from pdfalearn.teacher import PacParams
+
+    symbols, _, token_pdfa, smap = _hermetic_setup()
+    yield token_pdfa, [2, 3, 4], smap, symbols, None, ExactPartitioner(), PacParams(0.02, 0.02, 30), 13
+    pqr = Alphabet(("p", "q", "r"))
+    smap = SymbolMap((("p", "p", (2,)), ("q", "q", (3, 4)), ("r", "r", (5, 2, 3))))
+    # stages 0 and 1 allow p, q, r; stage 2 only termination; 3 is dead
+    masks = ((1, 1, 1, 0), (1, 1, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0))
+    guide = GuideAutomaton(pqr, masks, ((1, 1, 1), (2, 2, 2), (3, 3, 3), (3, 3, 3)))
+    for seed in range(10):
+        tokens = random_pdfa(GenSpec(n=20, m=4, theta=0.0, seed=500 + seed))
+        params = PacParams(epsilon=0.05, delta=0.05, max_len=30)
+        yield tokens, None, smap, pqr, (guide, TopP(0.9)), QuantizationPartitioner(10), params, seed
+
+
+def _learn_served(served, smap, symbols, composed, partitioner, params, seed, batched):
+    from pdfalearn.automata import compose
+    from pdfalearn.learner import learn
+    from pdfalearn.teacher import pac_teacher
+
+    served.asked.clear()
+    with TokenModelServer(served) as server, remote_token_model(server.url) as client:
+        model = symbol_model(client if batched else NextOnly(client), smap, symbols)
+        if composed is not None:
+            model = compose(model, *composed)
+        teacher = pac_teacher(model, partitioner, params, seed=seed)
+        learned = learn(teacher if batched else Unprefetched(teacher), partitioner)
+    asked = list(served.asked)
+    return learned, (teacher.mq_count, teacher.eq_count), asked, client.request_count
+
+
+def test_batched_learning_asks_the_same_contexts_in_fewer_requests():
+    """Batching regroups the contexts asked and changes nothing else.
+
+    Criterion 9's pipeline asks as many requests either way: its rows'
+    strings were all drawn by equivalence sampling before `build` reaches
+    them, and a distribution there needs one context per token depth. Every
+    served model behind the guide asks fewer."""
+    from pdfalearn.automata import isomorphic
+
+    requests = []
+    for tokens, ids, smap, symbols, composed, partitioner, params, seed in _served_pipelines():
+        served = RecordingServed(tokens, ids)
+        args = (served, smap, symbols, composed, partitioner, params, seed)
+        learned, counts, asked, batched = _learn_served(*args, batched=True)
+        oracle, oracle_counts, oracle_asked, one_each = _learn_served(*args, batched=False)
+        assert isomorphic(learned, oracle)
+        assert counts == oracle_counts
+        assert set(asked) == set(oracle_asked)
+        assert len(asked) == len(set(asked)) and len(oracle_asked) == len(set(oracle_asked))
+        assert one_each == len(oracle_asked)
+        requests.append((batched, one_each))
+    assert len(requests) == 11
+    assert requests[0][0] <= requests[0][1]
+    assert all(batched < one_each for batched, one_each in requests[1:])

@@ -4,8 +4,8 @@ Composition and the token bridge keep their answers on a trie walked in one
 loop along the query, where the dict-cached constructions they replace
 recursed once per symbol. Those constructions are kept below as oracles:
 on seeded strings, including strings through undefined prefixes, both must
-return the same distributions after asking the inner model, or the token
-model, about the same strings in the same order.
+return the same distributions after asking the inner model about the same
+strings in the same order, or the token model about the same contexts.
 """
 
 from typing import Optional
@@ -22,12 +22,14 @@ from pdfalearn.automata import (
     Prefix,
     _masked,
     compose,
+    isomorphic,
 )
 from pdfalearn.errors import ModelFailureError, TransportError
+from pdfalearn.learner import LearnerConfig, learn
 from pdfalearn.lmbridge import SymbolMap, TokenModel, pdfa_token_model, symbol_model
 from pdfalearn.randgen import GenSpec, random_pdfa
 from pdfalearn.simplex import Alphabet, Distribution, ExactPartitioner, TopP, TopR, apply_sampling
-from pdfalearn.teacher import PacParams, pac_teacher
+from pdfalearn.teacher import PacParams, PacTeacher, pac_teacher
 
 LONG = 3000  # well past the interpreter's default recursion limit
 
@@ -289,6 +291,104 @@ def test_symbol_model_matches_the_recursive_construction(seed):
     for u in seeded_strings(rng, symbols.size, 200, 6):
         got = new.next(u)
         assert got == old.next(u)
-        assert new_tm.asked == old_tm.asked
+        # a distribution asks one token depth per wave, so a symbol of three
+        # tokens reorders the asks; the contexts asked are the same
+        assert set(new_tm.asked) == set(old_tm.asked)
+        assert len(new_tm.asked) == len(set(new_tm.asked))
         undefined += got is None
     assert undefined > 10
+
+
+# --- cursors that resolve together ---
+
+
+class BatchRecording(ConstantModel):
+    """A next-only model whose cursors are prefixes; records each `dists` call."""
+
+    def __init__(self, dist: Distribution):
+        super().__init__(dist)
+        self.calls = []
+
+    def dists(self, cursors):
+        self.calls.append(list(cursors))
+        return super().dists(cursors)
+
+
+def test_symbol_model_cursor_is_its_trie_node():
+    """A step follows the trie and copies no context: the cursor after u is one node, whose context it keeps."""
+    one = Alphabet(("x",))
+    lm = symbol_model(ConstantTokens(), SymbolMap((("x", "x", (2,)),)), one)
+
+    def fold(u):
+        cursor = lm.start()
+        for s in u:
+            cursor = lm.step(cursor, s)
+        return cursor
+
+    end = fold((0,) * LONG)
+    assert isinstance(end, Prefix) and fold((0,) * LONG) is end
+    assert end.tokens == (0,) + (2,) * LONG
+
+
+def test_next_many_folds_every_string_and_resolves_their_ends_in_one_call():
+    dist = Distribution(AB, (0.5, 0.25, 0.25))
+    inner = BatchRecording(dist)
+    comp = compose(inner, permissive_guide(AB))
+    assert comp.next_many([(0,), (1,), (0, 1), (0,)]) == [dist] * 4
+    # each step needs the distribution it steps from; the ends not yet
+    # known come in one inner call
+    assert inner.calls == [[()], [(0,)], [(1,), (0, 1)]]
+    assert comp.next_many([(1,), ()]) == [dist, dist]
+    assert len(inner.calls) == 3
+
+
+def test_pac_teacher_prefetch_asks_a_row_at_once_and_counts_as_mq_would():
+    dist = Distribution(AB, (0.5, 0.25, 0.25))
+    inner = BatchRecording(dist)
+    teacher = pac_teacher(compose(inner, permissive_guide(AB)), ExactPartitioner(), PacParams(), seed=0)
+    assert teacher.mq((0,)) == dist
+    teacher.prefetch((0,), [0, 1])
+    assert inner.calls[-1] == [(0, 0), (0, 1)]
+    assert (teacher.mq_count, teacher.model_query_count) == (1, 3)
+    asked = len(inner.calls)
+    assert teacher.mq((0, 1)) == teacher.mq((0, 0)) == dist
+    teacher.prefetch((0,), [0, 1])
+    assert len(inner.calls) == asked
+    assert (teacher.mq_count, teacher.model_query_count) == (3, 3)
+
+
+def test_pac_teacher_prefetch_that_fails_leaves_its_strings_to_mq():
+    class Failing(LanguageModel):
+        alphabet = AB
+
+        def next(self, u):
+            raise TransportError("down")
+
+    teacher = pac_teacher(Failing(), ExactPartitioner(), PacParams(), seed=0)
+    teacher.prefetch((), [0, 1])
+    assert teacher.model_query_count == 0
+    with pytest.raises(ModelFailureError) as err:
+        teacher.mq((1,))
+    assert err.value.prefix == (1,)
+
+
+@pytest.mark.parametrize(
+    "config", [LearnerConfig(), LearnerConfig(max_queries=10**6), LearnerConfig(max_query_len=10**6)]
+)
+def test_learn_asks_rows_ahead_only_without_a_guard(config):
+    """A guard may refuse a row's later strings, so under a guard nothing is asked ahead."""
+    target = random_pdfa(GenSpec(n=10, m=3, theta=0.3, seed=3))
+    prefetched = []
+
+    class Watching(PacTeacher):
+        def prefetch(self, prefix, symbols):
+            prefetched.append((prefix, tuple(symbols)))
+            super().prefetch(prefix, symbols)
+
+    teacher = Watching(target.language_model(), ExactPartitioner(), PacParams(max_len=20), 1)
+    learned = learn(teacher, ExactPartitioner(), config)
+    twin = pac_teacher(target.language_model(), ExactPartitioner(), PacParams(max_len=20), 1)
+    assert isomorphic(learned, learn(twin, ExactPartitioner()))
+    counts = (teacher.mq_count, teacher.eq_count, teacher.model_query_count)
+    assert counts == (twin.mq_count, twin.eq_count, twin.model_query_count)
+    assert bool(prefetched) == (config.max_queries is None and config.max_query_len is None)
