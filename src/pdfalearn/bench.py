@@ -10,7 +10,7 @@ import logging
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .automata import Pdfa, quotient
 from .equivcheck import hk_equiv
@@ -23,7 +23,7 @@ from .simplex import (
     QuantizationPartitioner,
     TopKPartitioner,
 )
-from .teacher import exact_teacher, filter_teacher
+from .teacher import Teacher, exact_teacher, filter_teacher
 
 logger = logging.getLogger(__name__)
 
@@ -94,43 +94,63 @@ def teacher_for_mode(target: Pdfa, partitioner: Partitioner, mode: str):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def run_learning(
-    target: Pdfa,
-    partitioner: Partitioner,
-    mode: str,
-    spec: GenSpec,
-    verify: bool = True,
-) -> BenchRecord:
-    """One learning run; failures are recorded, not raised."""
-    teacher, learner_mode = teacher_for_mode(target, partitioner, mode)
+def learning_run(
+    teacher: Teacher, learner_mode: LearnerMode, partitioner: Partitioner, reference: Optional[Pdfa] = None, *,
+    n: Optional[int], theta: float, mode: str, seed: int,
+) -> tuple[Pdfa, BenchRecord]:
+    """Learn from a built teacher: the learned automaton and the run's record.
+
+    `wall_ms` times `learn` alone. With a reference automaton, `verified`
+    says whether the learned one is equivalent to it modulo the
+    partitioner, a check left out of `wall_ms`. `n` None records the
+    learned state count. A PdfaError from `learn` is raised again, the
+    record of the failed run as its `record`.
+    """
+    learned = failure = None
     t0 = time.perf_counter()
-    error = ""
-    learned_states = 0
-    verified = False
     try:
         learned = learn(teacher, partitioner, LearnerConfig(mode=learner_mode))
-        learned_states = learned.n_states
-        if verify:
-            verified = hk_equiv(learned, quotient(target, partitioner), partitioner) is None
     except PdfaError as exc:
-        error = f"{type(exc).__name__}: {exc}"
-        logger.warning("run failed (mode=%s seed=%s): %s", mode, spec.seed, error)
+        failure = exc
     wall_ms = (time.perf_counter() - t0) * 1000
-    return BenchRecord(
-        n=spec.n,
-        m=spec.m,
-        theta=spec.theta,
-        kappa=getattr(partitioner, "name", "?"),
+    learned_states = learned.n_states if learned is not None else 0
+    verified = learned is not None and reference is not None and hk_equiv(learned, reference, partitioner) is None
+    record = BenchRecord(
+        n=learned_states if n is None else n,
+        m=teacher.alphabet.size,
+        theta=theta,
+        kappa=partitioner.name,
         mode=mode,
-        seed=spec.seed,
+        seed=seed,
         mq_count=teacher.mq_count,
         eq_count=teacher.eq_count,
         ce_count=max(teacher.eq_count - 1, 0),
         learned_states=learned_states,
         wall_ms=wall_ms,
         verified=verified,
-        error=error,
     )
+    if failure is not None:
+        failure.record = record
+        raise failure
+    return learned, record
+
+
+def run_learning(
+    target: Pdfa, partitioner: Partitioner, mode: str, spec: GenSpec, reference: Optional[Pdfa] = None
+) -> BenchRecord:
+    """One sweep run, verified against `reference`, the target's quotient
+    unless given; a failure is recorded in `error`, not raised."""
+    teacher, learner_mode = teacher_for_mode(target, partitioner, mode)
+    if reference is None:
+        reference = quotient(target, partitioner)
+    try:
+        return learning_run(
+            teacher, learner_mode, partitioner, reference, n=spec.n, theta=spec.theta, mode=mode, seed=spec.seed
+        )[1]
+    except PdfaError as exc:
+        exc.record.error = f"{type(exc).__name__}: {exc}"
+        logger.warning("run failed (mode=%s seed=%s): %s", mode, spec.seed, exc.record.error)
+        return exc.record
 
 
 def sweep(
@@ -139,8 +159,6 @@ def sweep(
     m: int,
     partitioner: Partitioner,
     seeds: Iterable[int],
-    modes: Iterable[str] = MODES,
-    verify: bool = True,
 ) -> list[BenchRecord]:
     """Cross product of sizes, densities, seeds, and algorithm modes."""
     records = []
@@ -149,8 +167,8 @@ def sweep(
             for seed in seeds:
                 spec = GenSpec(n=n, m=m, theta=theta, seed=seed)
                 target = random_pdfa(spec)
-                for mode in modes:
-                    records.append(run_learning(target, partitioner, mode, spec, verify))
+                reference = quotient(target, partitioner)
+                records.extend(run_learning(target, partitioner, mode, spec, reference) for mode in MODES)
     return records
 
 

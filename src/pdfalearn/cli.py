@@ -16,7 +16,7 @@ import sys
 from . import bench, fileio
 from .automata import compose, materialize_compose, quotient
 from .errors import ParseFailureError, PdfaError
-from .learner import LearnerConfig, LearnerMode, learn
+from .learner import LearnerMode
 from .lmbridge import load_symbol_map, remote_token_model, symbol_model
 from .pipeline import compare_distributions, guided_sample
 from .randgen import GenSpec, random_pdfa
@@ -55,36 +55,20 @@ def _write_or_print(text: str, out):
 
 
 def cmd_learn(args):
-    import time
-
     partitioner = bench.parse_partitioner(args.equiv)
     strategy = parse_strategy(args.strategy)
+    fields = dict(theta=float("nan"), mode=args.mode, seed=args.seed)
     if args.target:
         pdfa = fileio.load_pdfa(args.target)
         if args.guide:
             pdfa = materialize_compose(pdfa, fileio.load_guide(args.guide), strategy)
         teacher, mode = bench.teacher_for_mode(pdfa, partitioner, args.mode)
-        t0 = time.perf_counter()
-        learned = learn(teacher, partitioner, LearnerConfig(mode=mode))
-        wall_ms = (time.perf_counter() - t0) * 1000
-        from .equivcheck import hk_equiv
-
-        record = bench.BenchRecord(
-            n=pdfa.n_states,
-            m=pdfa.alphabet.size,
-            theta=float("nan"),
-            kappa=partitioner.name,
-            mode=args.mode,
-            seed=args.seed,
-            mq_count=teacher.mq_count,
-            eq_count=teacher.eq_count,
-            ce_count=max(teacher.eq_count - 1, 0),
-            learned_states=learned.n_states,
-            wall_ms=wall_ms,
-            verified=hk_equiv(learned, quotient(pdfa, partitioner), partitioner) is None,
+        learned, record = bench.learning_run(
+            teacher, mode, partitioner, quotient(pdfa, partitioner), n=pdfa.n_states, **fields
         )
     else:
-        # the language model served at --endpoint, with symbols from --symbol-map
+        # the language model served at --endpoint, with symbols from --symbol-map;
+        # the learned state count stands in for n, and nothing verifies the result
         smap = load_symbol_map(args.symbol_map)
         with remote_token_model(args.endpoint, bos=args.bos, eos=args.eos) as tm:
             model = symbol_model(tm, smap, Alphabet(tuple(name for name, _, _ in smap.entries)))
@@ -92,22 +76,7 @@ def cmd_learn(args):
                 model = compose(model, fileio.load_guide(args.guide), strategy)
             params = PacParams(epsilon=args.epsilon, delta=args.delta, max_len=args.max_len)
             teacher = pac_teacher(model, partitioner, params, seed=args.seed)
-            t0 = time.perf_counter()
-            learned = learn(teacher, partitioner, LearnerConfig(mode=LearnerMode.OMIT_ZERO))
-        record = bench.BenchRecord(
-            n=learned.n_states,
-            m=learned.alphabet.size,
-            theta=float("nan"),
-            kappa=partitioner.name,
-            mode=args.mode,
-            seed=args.seed,
-            mq_count=teacher.mq_count,
-            eq_count=teacher.eq_count,
-            ce_count=max(teacher.eq_count - 1, 0),
-            learned_states=learned.n_states,
-            wall_ms=(time.perf_counter() - t0) * 1000,
-            verified=False,
-        )
+            learned, record = bench.learning_run(teacher, LearnerMode.OMIT_ZERO, partitioner, n=None, **fields)
     if args.out:
         fileio.save_pdfa(learned, args.out)
     sys.stdout.write(bench.BenchRecord.HEADER + "\n" + record.to_row() + "\n")

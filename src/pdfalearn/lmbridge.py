@@ -7,15 +7,13 @@ step probabilities along each symbol's tokens and renormalizes, so learners
 and guides can work over a small symbol alphabet regardless of tokenizer
 granularity.
 
-Served models speak a small JSON protocol: POST {"context": [token ids]}
-to ENDPOINT_PATH, answered {"probs": {token id: probability}}, or POST
-{"contexts": [[token ids], ...]} to BATCH_PATH, answered {"probs": [{token
-id: probability}, ...]} in the same order; a model error is 4xx with
-{"error": detail}, and for a batch also the "index" of the context that
-failed. Connections are HTTP/1.1 and kept alive, one per client; a request
-the server cannot parse is answered 400 and its connection closed. The
-client asks everything through BATCH_PATH, so a symbol-level distribution
-costs one request per token depth.
+Served models speak a small JSON protocol: POST {"contexts": [[token
+ids], ...]} to BATCH_PATH, answered {"probs": [{token id: probability},
+...]} in the same order; a model error is 4xx with {"error": detail} and
+the "index" of the context that failed. Connections are HTTP/1.1 and kept
+alive, one per client; a request the server cannot parse is answered 400
+and its connection closed. A symbol-level distribution costs one request
+per token depth.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ from .simplex import Alphabet, Distribution
 
 logger = logging.getLogger(__name__)
 
-ENDPOINT_PATH = "/v1/next_token_distribution"
 BATCH_PATH = "/v1/next_token_distributions"
 SUM_TOLERANCE = 1e-6
 MAX_REQUEST_BYTES = 1 << 24
@@ -212,6 +209,24 @@ class _Context(Prefix):
         return node
 
 
+def _advance(tokens: tuple[int, ...], k: int, node: _Context, mass: float, ask=None):
+    """Multiply the step probabilities of tokens[k:], from node on, into
+    mass. Returns (k, node, mass) once the mass is zero or every token is
+    multiplied, node then being the last token's context; without `ask`,
+    also at the first context not yet asked, which `ask` would answer."""
+    while True:
+        probs = node.value
+        if probs is UNSET:
+            if ask is None:
+                return k, node, mass
+            probs = node.value = ask(node.tokens)
+        mass *= probs.get(tokens[k], 0.0)
+        k += 1
+        if mass <= 0 or k == len(tokens):
+            return k, node, mass
+        node = node.child(tokens[k - 1])
+
+
 class SymbolLanguageModel(LanguageModel):
     """Language model over symbols whose probabilities are token products.
 
@@ -222,11 +237,12 @@ class SymbolLanguageModel(LanguageModel):
     the step probabilities along s's tokens, the terminal takes EOS's, and
     the masses are renormalized; dist is None when they all vanish.
 
-    `dists` resolves its cursors together, one token depth per wave: each
-    wave asks every context the products stopped at in one
-    `next_tokens_many` call. A product stops where `step`'s arithmetic
-    would, so the contexts asked are those that asking one at a time
-    would ask.
+    `step` and `dists` multiply their products through one walk,
+    `_advance`. `step` asks each context on its way by itself; `dists`
+    resolves its cursors together, one token depth per wave: each wave asks
+    every context the products stopped at in one `next_tokens_many` call.
+    A product stops at the first token that zeroes it, so the contexts
+    asked are those that asking one at a time would ask.
     """
 
     def __init__(self, tm: TokenModel, smap: SymbolMap, alphabet: Alphabet):
@@ -246,15 +262,9 @@ class SymbolLanguageModel(LanguageModel):
         return self._root
 
     def step(self, node: _Context, s: int) -> Optional[_Context]:
-        mass = 1.0
-        for t in self.sequences[s]:
-            if node.value is UNSET:
-                node.value = self.tm.next_tokens(node.tokens)
-            mass *= node.value.get(t, 0.0)
-            if mass <= 0:
-                return None
-            node = node.child(t)
-        return node
+        tokens = self.sequences[s]
+        _, node, mass = _advance(tokens, 0, node, 1.0, self.tm.next_tokens)
+        return node.child(tokens[-1]) if mass > 0 else None
 
     def dists(self, cursors) -> list[Optional[Distribution]]:
         products = self._products
@@ -265,19 +275,13 @@ class SymbolLanguageModel(LanguageModel):
             waiting = []
             for i, j, k, node, mass in walks:
                 tokens = products[j]
-                while True:
-                    probs = node.value
-                    if probs is UNSET:
-                        waiting.append((i, j, k, node, mass))
-                        break
-                    mass *= probs.get(tokens[k], 0.0)
-                    k += 1
-                    if mass <= 0:
-                        break
-                    if k == len(tokens):
-                        weights[i][j] = mass
-                        break
-                    node = node.child(tokens[k - 1])
+                k, node, mass = _advance(tokens, k, node, mass)
+                if mass <= 0:
+                    continue
+                if k == len(tokens):
+                    weights[i][j] = mass
+                else:
+                    waiting.append((i, j, k, node, mass))
             if waiting:
                 nodes = list(dict.fromkeys(walk[3] for walk in waiting))
                 for node, probs in zip(nodes, self.tm.next_tokens_many([n.tokens for n in nodes]), strict=True):
@@ -416,20 +420,20 @@ def remote_token_model(
     return RemoteTokenModel(endpoint, bos, eos, timeout, retries)
 
 
-def _read_contexts(path: str, headers, rfile) -> list[tuple[int, ...]]:
-    """The token contexts a request asks about, one for ENDPOINT_PATH;
-    ValueError or RecursionError if it is malformed."""
+def _read_contexts(headers, rfile) -> list[tuple[int, ...]]:
+    """The token contexts a request asks about; ValueError or RecursionError
+    if it is malformed."""
     length = int(headers.get("Content-Length", "0"))
     if not 0 <= length <= MAX_REQUEST_BYTES:  # the body buffer is allocated up front
         raise ValueError(f"Content-Length {length} is outside 0..{MAX_REQUEST_BYTES}")
     body = json.loads(rfile.read(length))
     body = body if isinstance(body, dict) else {}
-    contexts = body.get("contexts") if path == BATCH_PATH else [body.get("context")]
+    contexts = body.get("contexts")
     if not isinstance(contexts, list):
         raise ValueError("'contexts' must be a list of token id lists")
     for context in contexts:
         if not isinstance(context, list) or not all(type(t) is int for t in context):
-            raise ValueError("'context' must be a list of integer token ids")
+            raise ValueError("each context must be a list of integer token ids")
     return [tuple(c) for c in contexts]
 
 
@@ -467,11 +471,11 @@ class TokenModelServer:
                 super().finish()
 
             def do_POST(self):  # noqa: N802 (stdlib naming)
-                if self.path not in (ENDPOINT_PATH, BATCH_PATH):
+                if self.path != BATCH_PATH:
                     self.send_error(404)  # closes the connection: the body is left unread
                     return
                 try:
-                    contexts = _read_contexts(self.path, self.headers, self.rfile)
+                    contexts = _read_contexts(self.headers, self.rfile)
                 except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
                     self._reply(400, {"error": f"bad request: {type(exc).__name__}: {exc}"}, close=True)
                     return
@@ -480,11 +484,10 @@ class TokenModelServer:
                     try:
                         probs = outer.model.next_tokens(context)
                     except Exception as exc:  # surface model errors as HTTP 400
-                        error = {"error": f"{type(exc).__name__}: {exc}"}
-                        self._reply(400, error if self.path == ENDPOINT_PATH else {**error, "index": index})
+                        self._reply(400, {"error": f"{type(exc).__name__}: {exc}", "index": index})
                         return
                     answers.append({str(t): p for t, p in probs.items()})
-                self._reply(200, {"probs": answers[0] if self.path == ENDPOINT_PATH else answers})
+                self._reply(200, {"probs": answers})
 
             def _reply(self, status: int, body: dict, close: bool = False):
                 payload = json.dumps(body, ensure_ascii=False).encode()

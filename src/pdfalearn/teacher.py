@@ -9,8 +9,8 @@ from typing import Optional
 import numpy as np
 
 from .automata import UNSET, LanguageModel, MemoModel, Pdfa, is_defined, next_dist
-from .equivcheck import CeKind, Counterexample, hk_equiv, shortest_defined_ce_prefix
-from .errors import ModelFailureError, PdfaError, TransportError
+from .equivcheck import Counterexample, _conflict_kind, hk_equiv
+from .errors import ModelFailureError, NotACounterexampleError, PdfaError, TransportError
 from .simplex import Distribution, Partitioner, ZERO_CLASS
 
 
@@ -182,9 +182,13 @@ class PacTeacher(Teacher):
                     dist = self._memo.value(node, u[:j])
                 model_label = ZERO_CLASS if dist is None else dist.label(partitioner)
                 if model_label != hypothesis.dists[q].label(partitioner):
-                    gamma = shortest_defined_ce_prefix(self._memo, hypothesis, partitioner, u[:j])
-                    kind = CeKind.SUPPORT_MISMATCH if dist is None else CeKind.DIST_MISMATCH
-                    return self._record_ce(hypothesis, Counterexample(gamma, kind))
+                    # the first disagreeing prefix of the sample, and so the shortest
+                    if dist is None:
+                        raise NotACounterexampleError(
+                            "first disagreement is model-undefined; supports were inconsistent earlier"
+                        )
+                    kind = _conflict_kind(dist, hypothesis.dists[q])
+                    return self._record_ce(hypothesis, Counterexample(u[:j], kind))
                 if j < len(u):
                     node, q = node.child(u[j]), hypothesis.trans[q][u[j]]
         return None

@@ -261,6 +261,44 @@ def test_bench_records_failed_runs(monkeypatch):
     assert bench.median_mq_by([ok, failed]) == {(8, "omit-zero"): ok.mq_count}
 
 
+def test_wall_ms_leaves_out_verification(monkeypatch):
+    """A sweep row's wall_ms times learning alone, not the check against the quotient."""
+    import time
+
+    from pdfalearn import bench
+
+    hk_equiv = bench.hk_equiv
+
+    def slow_hk_equiv(*args):
+        time.sleep(0.3)
+        return hk_equiv(*args)
+
+    monkeypatch.setattr(bench, "hk_equiv", slow_hk_equiv)
+    record = bench.sweep(ns=[4], thetas=[0.5], m=2, partitioner=ExactPartitioner(), seeds=[1])[0]
+    assert record.verified
+    assert record.wall_ms < 300
+
+
+@pytest.mark.parametrize("mode", ["omit-zero", "qnt-filter", "qnt-standard"])
+def test_learn_row_equals_the_sweep_row(tmp_path, capsys, mode):
+    """`learn --target` and `bench` record one instance's run alike."""
+    from pdfalearn import bench
+    from pdfalearn.randgen import GenSpec, random_pdfa
+    from pdfalearn.simplex import QuantizationPartitioner
+
+    spec = GenSpec(n=30, m=4, theta=0.8, seed=3)
+    target = tmp_path / "target.pdfa"
+    save_pdfa(random_pdfa(spec), target)
+    assert main(["learn", "--target", str(target), "--mode", mode, "--equiv", "quant:10"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    learned = dict(zip(header.lstrip("#").split("\t"), row.split("\t")))
+    (swept,) = [r for r in bench.sweep([spec.n], [spec.theta], spec.m, QuantizationPartitioner(10), [spec.seed])
+                if r.mode == mode]
+    columns = ("mq_count", "eq_count", "ce_count", "learned_states", "verified")
+    assert [learned[c] for c in columns] == [str(int(getattr(swept, c))) for c in columns]
+    assert swept.verified and swept.mq_count > 1
+
+
 def test_learn_with_a_repeated_symbol_name_is_a_json_error(tmp_path, capsys):
     """A symbol map naming a symbol twice fails before anything is asked of the endpoint."""
     smap_path = tmp_path / "dup.map"

@@ -383,24 +383,6 @@ def _raw_exchange(url: str, request: bytes) -> tuple[int, dict, bytes]:
 @pytest.mark.parametrize(
     "content_length, body",
     [
-        pytest.param(None, b'{"context": "23"}', id="string-context"),  # would iterate into digits
-        pytest.param(None, b'{"context": [2, "3"]}', id="string-token"),
-        pytest.param(None, b'{"context": [2.5]}', id="float-token"),
-        pytest.param(None, b"[" * 100_000 + b"]" * 100_000, id="nested-past-json-depth"),
-        pytest.param("-1", b'{"context": []}', id="negative-length"),  # read(-1) waits for hang-up
-        pytest.param("12abc", b'{"context": []}', id="non-integer-length"),
-        pytest.param(str(1 << 62), b'{"context": []}', id="unallocatable-length"),
-    ],
-)
-def test_server_answers_a_malformed_request_400_and_closes(token_target, content_length, body):
-    from pdfalearn.lmbridge import ENDPOINT_PATH
-
-    _assert_400_and_closed(token_target, ENDPOINT_PATH, content_length, body)
-
-
-@pytest.mark.parametrize(
-    "content_length, body",
-    [
         pytest.param(None, b'{"contexts": "23"}', id="batch-string-contexts"),
         pytest.param(None, b'{"contexts": [2, 3]}', id="batch-context-not-a-list"),
         pytest.param(None, b'{"context": [2, 3]}', id="batch-without-contexts"),
@@ -409,6 +391,10 @@ def test_server_answers_a_malformed_request_400_and_closes(token_target, content
         pytest.param(
             None, b'{"contexts": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", id="batch-nested-past-json-depth"
         ),
+        pytest.param(None, b'{"contexts": ["23"]}', id="string-context"),  # would iterate into digits
+        pytest.param("-1", b'{"contexts": [[]]}', id="negative-length"),  # read(-1) waits for hang-up
+        pytest.param("12abc", b'{"contexts": [[]]}', id="non-integer-length"),
+        pytest.param(str(1 << 62), b'{"contexts": [[]]}', id="unallocatable-length"),
         pytest.param(str(MAX_REQUEST_BYTES + 1), b'{"contexts": [[]]}', id="batch-over-max-request-bytes"),
     ],
 )

@@ -2,10 +2,11 @@
 
 import pytest
 
-from pdfalearn.automata import is_defined, quotient
+from pdfalearn.automata import Pdfa, is_defined, quotient
+from pdfalearn.equivcheck import CeKind, hk_equiv
 from pdfalearn.learner import LearnerMode, _initial_hypothesis
 from pdfalearn.randgen import GenSpec, random_pdfa
-from pdfalearn.simplex import ExactPartitioner, QuantizationPartitioner
+from pdfalearn.simplex import Distribution, ExactPartitioner, QuantizationPartitioner
 from pdfalearn.teacher import PacParams, exact_teacher, filter_teacher, pac_teacher
 
 EXACT = ExactPartitioner()
@@ -74,6 +75,43 @@ def test_pac_rejects_collapsed_hypothesis(loop_pdfa):
     assert ce is not None
     assert len(ce.gamma) == 1
     assert is_defined(hyp.language_model(), ce.gamma)
+
+
+@pytest.mark.parametrize(
+    "hyp_law, kind",
+    [
+        ({"a": 0.3, "b": 0.3, "$": 0.4}, CeKind.SUPPORT_MISMATCH),
+        ({"a": 0.4, "b": 0.0, "$": 0.6}, CeKind.DIST_MISMATCH),
+    ],
+    ids=["support", "dist"],
+)
+def test_pac_counterexample_kind_matches_hk_equiv(ab_alphabet, hyp_law, kind):
+    """A one-state target over {a, b} whose λ support is {a}: the sampled
+    counterexample is the exact check's, kind included."""
+    law = {"a": 0.5, "b": 0.0, "$": 0.5}
+    target = Pdfa(ab_alphabet, (Distribution.from_map(ab_alphabet, law),), ((0, 0),))
+    hyp = Pdfa(ab_alphabet, (Distribution.from_map(ab_alphabet, hyp_law),), ((0, 0),))
+    ce = pac_teacher(target.language_model(), EXACT, PacParams(max_len=10), seed=0).eq(hyp)
+    assert ce == hk_equiv(target, hyp, EXACT)
+    assert ce.kind is kind
+
+
+def test_pac_refuses_a_first_disagreement_where_the_model_is_undefined(ab_alphabet):
+    """λ agrees, but the model is undefined after `a`, which its λ support
+    allows: no defined prefix disagrees, so there is no counterexample."""
+    from pdfalearn.automata import LanguageModel
+    from pdfalearn.errors import NotACounterexampleError
+
+    law = Distribution.from_map(ab_alphabet, {"a": 0.5, "b": 0.0, "$": 0.5})
+
+    class UndefinedAfterA(LanguageModel):
+        alphabet = ab_alphabet
+
+        def next(self, u):
+            return None if u else law
+
+    with pytest.raises(NotACounterexampleError):
+        pac_teacher(UndefinedAfterA(), EXACT, PacParams(max_len=10), seed=0).eq(Pdfa(ab_alphabet, (law,), ((0, 0),)))
 
 
 def test_pac_seed_determinism(loop_pdfa):
