@@ -58,9 +58,14 @@ class Pdfa:
             raise ValueError("dists and trans disagree on state count")
         if not 0 <= self.initial < n:
             raise ValueError("initial state out of range")
+        self._check_rows(range(n))
+
+    def _check_rows(self, states) -> None:
+        """Validate the distribution and row of each state in `states`, in order."""
         alphabet, m = self.alphabet, self.alphabet.size
-        targets = {*range(n), None}
-        for q, (dist, row) in enumerate(zip(self.dists, self.trans)):
+        targets = {*range(len(self.dists)), None}
+        for q in states:
+            dist, row = self.dists[q], self.trans[q]
             if dist.alphabet is not alphabet and dist.alphabet != alphabet:
                 raise AlphabetMismatchError(f"state {q} distribution has a different alphabet")
             if len(row) != m:
@@ -74,6 +79,32 @@ class Pdfa:
                     raise ValueError(
                         f"state {q} gives positive probability to symbol {s} but has no transition"
                     )
+
+    def extended(self, dists: Sequence[Distribution], rows: Sequence, replaced: dict) -> "Pdfa":
+        """This automaton with states appended and rows replaced.
+
+        The appended states have distributions `dists` and rows `rows`;
+        `replaced` maps existing states to their new rows. Only those states
+        are validated, with the constructor's checks and messages, and every
+        other row is shared with this automaton. The result `==` the
+        constructor's on the same fields.
+        """
+        old = len(self.dists)
+        for q in replaced:
+            if not 0 <= q < old:
+                raise ValueError(f"replaced state {q} out of range")
+        if len(rows) != len(dists):
+            raise ValueError("dists and trans disagree on state count")
+        trans = list(self.trans)
+        for q, row in replaced.items():
+            trans[q] = row
+        trans.extend(rows)
+        pdfa = object.__new__(Pdfa)  # past __post_init__: the checks below cover what changed
+        pdfa.__dict__.update(
+            alphabet=self.alphabet, dists=self.dists + tuple(dists), trans=tuple(trans), initial=self.initial
+        )
+        pdfa._check_rows([*sorted(replaced), *range(old, len(trans))])
+        return pdfa
 
     @property
     def n_states(self) -> int:

@@ -1,8 +1,8 @@
 """Command-line interface: learn, bench, quotient, sample, compare, generate.
 
 All tables are tab-separated with a #-prefixed header line. Every command is
-deterministic given its inputs and --seed. Domain errors exit with status 2
-and a machine-readable JSON object on stderr.
+deterministic given its inputs and --seed. Domain and usage errors exit with
+status 2 and a machine-readable JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -38,12 +38,41 @@ def parse_strategy(spec: str):
     raise ParseFailureError(f"bad strategy {spec!r} (want none|topk:R|topp:P)")
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x]
+class UsageError(Exception):
+    """The command line is malformed or names a value out of range."""
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x]
+class _Parser(argparse.ArgumentParser):
+    """Hands every usage error to `main`, which reports it as JSON."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _checked(parse, ok, want: str):
+    """An argparse type: `parse(text)`, refused unless `ok` holds of it."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {want}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {want}")
+        return value
+
+    return convert
+
+
+def _listed(convert):
+    """An argparse type for a comma-separated list of `convert`'s values."""
+    return lambda text: [convert(x) for x in text.split(",") if x]
+
+
+POSITIVE = _checked(int, lambda v: v >= 1, "an integer >= 1")
+COUNT = _checked(int, lambda v: v >= 0, "an integer >= 0")
+THETA = _checked(float, lambda v: 0 <= v < 1, "a number in [0, 1)")
+OPEN_UNIT = _checked(float, lambda v: 0 < v < 1, "a number in (0, 1)")
 
 
 def _write_or_print(text: str, out):
@@ -86,14 +115,14 @@ def cmd_learn(args):
 def cmd_bench(args):
     partitioner = bench.parse_partitioner(args.equiv)
     records = bench.sweep(
-        ns=_int_list(args.n),
-        thetas=_float_list(args.theta),
+        ns=args.n,
+        thetas=args.theta,
         m=args.m,
         partitioner=partitioner,
         seeds=range(args.seed, args.seed + args.seeds),
     )
     table = bench.format_records(records)
-    if len(_int_list(args.n)) > 1:
+    if len(args.n) > 1:
         table += bench.format_medians(records, key=lambda r: r.n, key_name="n")
     else:
         table += bench.format_medians(records, key=lambda r: r.theta, key_name="theta")
@@ -152,7 +181,7 @@ def cmd_generate(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="pdfalearn")
+    parser = _Parser(prog="pdfalearn")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -168,18 +197,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--guide", default=None)
     p.add_argument("--strategy", default="none")
     p.add_argument("--mode", default="omit-zero", choices=bench.MODES)
-    p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--max-len", type=int, default=50)
+    p.add_argument("--epsilon", type=OPEN_UNIT, default=0.05)
+    p.add_argument("--delta", type=OPEN_UNIT, default=0.05)
+    p.add_argument("--max-len", type=POSITIVE, default=50)
     p.add_argument("--bos", type=int, default=0)
     p.add_argument("--eos", type=int, default=1)
     p.set_defaults(func=cmd_learn)
 
     p = sub.add_parser("bench", help="run the three-mode benchmark sweep")
     common(p)
-    p.add_argument("--n", default="50", help="comma-separated nominal sizes")
-    p.add_argument("--theta", default="0.9", help="comma-separated zero densities")
-    p.add_argument("--m", type=int, default=10)
+    p.add_argument("--n", type=_listed(POSITIVE), default="50", help="comma-separated nominal sizes")
+    p.add_argument("--theta", type=_listed(THETA), default="0.9", help="comma-separated zero densities")
+    p.add_argument("--m", type=POSITIVE, default=10)
     p.add_argument("--seeds", type=int, default=10, help="number of instances per point")
     p.set_defaults(func=cmd_bench)
 
@@ -194,32 +223,33 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--target", required=True)
         p.add_argument("--guide", default=None)
         p.add_argument("--strategy", default="none")
-        p.add_argument("-n", type=int, default=1000)
-        p.add_argument("--max-len", type=int, default=50)
-        p.add_argument("--bins", type=int, default=10)
+        p.add_argument("-n", type=COUNT if name == "sample" else POSITIVE, default=1000)
+        p.add_argument("--max-len", type=POSITIVE, default=50)
+        p.add_argument("--bins", type=POSITIVE, default=10)
         p.set_defaults(func=func)
 
     p = sub.add_parser("generate", help="emit a random benchmark instance")
     common(p)
-    p.add_argument("--n", dest="n_states", type=int, default=50)
-    p.add_argument("--m", type=int, default=10)
-    p.add_argument("--theta", dest="theta_value", type=float, default=0.9)
+    p.add_argument("--n", dest="n_states", type=POSITIVE, default=50)
+    p.add_argument("--m", type=POSITIVE, default=10)
+    p.add_argument("--theta", dest="theta_value", type=THETA, default=0.9)
     p.set_defaults(func=cmd_generate)
     return parser
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("PDFA_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    args = build_parser().parse_args(argv)
-    usage = None
-    if args.command == "learn" and not args.target:
-        if not args.endpoint:
-            usage = "need --target or --endpoint"
-        elif args.mode != "omit-zero":
-            usage = f"--endpoint learns in omit-zero mode only, not {args.mode}"
-    if usage:
-        print(json.dumps({"error": "UsageError", "detail": usage}), file=sys.stderr)
+    level = logging.getLevelName(os.environ.get("PDFA_LOG", "WARNING").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+        if args.command == "learn" and not args.target:
+            if not args.endpoint:
+                parser.error("need --target or --endpoint")
+            if args.mode != "omit-zero":
+                parser.error(f"--endpoint learns in omit-zero mode only, not {args.mode}")
+    except UsageError as exc:
+        print(json.dumps({"error": "UsageError", "detail": str(exc)}), file=sys.stderr)
         return 2
     try:
         return args.func(args)

@@ -8,7 +8,7 @@ up to the conflict: zero-probability transitions are never walked.
 
 from __future__ import annotations
 
-import collections
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -45,6 +45,104 @@ def _conflict_kind(da, db) -> CeKind:
     return CeKind.DIST_MISMATCH
 
 
+class PairSearch:
+    """Breadth-first search over the reachable state pairs of `a` and `b`.
+
+    `order` lists the pairs in discovery order, `head` counts the pairs
+    examined, and `parents` maps each discovered pair to the index in
+    `order` of the pair that found it and the symbol. `resume` continues
+    the search on a new `b`. The pairs examined before the first one whose
+    `b` state changed (its distribution or row, by value) expand as they
+    did, so it rewinds to that pair and goes on from there; its result is
+    the one a fresh search on the new `b` returns. It starts over when the
+    partitioner, the alphabet or `b`'s initial state differs.
+    """
+
+    def __init__(self, a: Pdfa, b: Pdfa, partitioner: Partitioner):
+        self.a = a
+        self._restart(b, partitioner)
+
+    def _restart(self, b: Pdfa, partitioner: Partitioner) -> None:
+        if self.a.alphabet != b.alphabet:
+            raise AlphabetMismatchError("cannot compare PDFA over different alphabets")
+        self.b, self.partitioner = b, partitioner
+        start = (self.a.initial, b.initial)
+        self.order = [start]
+        self.parents: dict[tuple[int, int], tuple[int, int]] = {start: (-1, -1)}
+        self.head = 0
+
+    def resume(
+        self, b: Pdfa, partitioner: Partitioner, stats: Optional[HkStats] = None
+    ) -> Optional[Counterexample]:
+        """Compare `a` with `b`, reusing what the last search examined."""
+        old = self.b
+        if partitioner is not self.partitioner or b.alphabet != old.alphabet or b.initial != old.initial:
+            self._restart(b, partitioner)
+            return self.run(stats)
+        # only the states both have are compared: an examined pair whose
+        # state the new `b` lacks was found through a row that pointed past
+        # its states, which has changed and was examined before that pair
+        changed = {
+            q for q in range(min(old.n_states, b.n_states))
+            if (old.trans[q] is not b.trans[q] and old.trans[q] != b.trans[q])
+            or (old.dists[q] is not b.dists[q] and old.dists[q] != b.dists[q])
+        }
+        order, parents = self.order, self.parents
+        head = next((j for j in range(self.head) if order[j][1] in changed), self.head)
+        # pairs are found in the order of their finders: keep those found before `head`
+        cut = bisect_left(order, head, key=lambda pair: parents[pair][0])
+        for pair in order[cut:]:
+            del parents[pair]
+        del order[cut:]
+        self.b, self.head = b, head
+        return self.run(stats)
+
+    def run(self, stats: Optional[HkStats] = None) -> Optional[Counterexample]:
+        """Examine the pairs from `head` on, up to the first conflict."""
+        start = self.head
+        ce = self._examine()
+        if stats is not None:
+            stats.pairs_visited += self.head - start + (ce is not None)
+        return ce
+
+    def _examine(self) -> Optional[Counterexample]:
+        a, b, partitioner = self.a, self.b, self.partitioner
+        order, parents = self.order, self.parents
+        j = self.head
+        try:
+            while j < len(order):
+                qa, qb = order[j]
+                da, db = a.dists[qa], b.dists[qb]
+                if da.label(partitioner) != db.label(partitioner):
+                    return Counterexample(self._path(j), _conflict_kind(da, db))
+                # labels matched, so under a support-respecting partitioner the
+                # supports coincide and no one-sided symbol can exist; guard anyway
+                if da.support() != db.support():
+                    return Counterexample(self._path(j), CeKind.SUPPORT_MISMATCH)
+                for s in sorted(da.support()):
+                    ta, tb = a.trans[qa][s], b.trans[qb][s]
+                    if ta is None or tb is None:
+                        # unreachable: supports matched and in-support transitions exist
+                        return Counterexample(self._path(j) + (s,), CeKind.SUPPORT_MISMATCH)
+                    pair = (ta, tb)
+                    if pair not in parents:
+                        parents[pair] = (j, s)
+                        order.append(pair)
+                j += 1
+            return None
+        finally:
+            self.head = j
+
+    def _path(self, j: int) -> String:
+        """The string that leads to the j-th pair."""
+        out = []
+        while True:
+            j, s = self.parents[self.order[j]]
+            if j < 0:
+                return tuple(reversed(out))
+            out.append(s)
+
+
 def hk_equiv(
     a: Pdfa,
     b: Pdfa,
@@ -57,42 +155,7 @@ def hk_equiv(
     symbols in the mutual support, and the verdict is None iff the automata
     agree (labels and definedness) on every mutually defined string.
     """
-    if a.alphabet != b.alphabet:
-        raise AlphabetMismatchError("cannot compare PDFA over different alphabets")
-    start = (a.initial, b.initial)
-    parents: dict[tuple[int, int], tuple[Optional[tuple[int, int]], int]] = {start: (None, -1)}
-    queue = collections.deque([start])
-
-    def rebuild(pair) -> String:
-        out = []
-        while True:
-            prev, sym = parents[pair]
-            if prev is None:
-                return tuple(reversed(out))
-            out.append(sym)
-            pair = prev
-
-    while queue:
-        qa, qb = queue.popleft()
-        if stats is not None:
-            stats.pairs_visited += 1
-        da, db = a.dists[qa], b.dists[qb]
-        if da.label(partitioner) != db.label(partitioner):
-            return Counterexample(rebuild((qa, qb)), _conflict_kind(da, db))
-        # labels matched, so under a support-respecting partitioner the
-        # supports coincide and no one-sided symbol can exist; guard anyway
-        if da.support() != db.support():
-            return Counterexample(rebuild((qa, qb)), CeKind.SUPPORT_MISMATCH)
-        for s in sorted(da.support()):
-            ta, tb = a.trans[qa][s], b.trans[qb][s]
-            if ta is None or tb is None:
-                # unreachable: supports matched and in-support transitions exist
-                return Counterexample(rebuild((qa, qb)) + (s,), CeKind.SUPPORT_MISMATCH)
-            pair = (ta, tb)
-            if pair not in parents:
-                parents[pair] = ((qa, qb), s)
-                queue.append(pair)
-    return None
+    return PairSearch(a, b, partitioner).run(stats)
 
 
 def shortest_defined_ce_prefix(

@@ -48,9 +48,11 @@ class _Leaf:
     hypothesis transitions out of a defined leaf once `build` has computed
     them: per symbol the target leaf, None outside the scope, or the inner
     node that replaced a target split since, where that sift resumes.
+    `index` is a defined leaf's hypothesis state, fixed when the leaf is
+    created; an undefined leaf has none.
     """
 
-    __slots__ = ("string", "dist", "parent", "depth", "sifted", "row")
+    __slots__ = ("string", "dist", "parent", "depth", "sifted", "row", "index")
 
     def __init__(self, string: String, dist: Optional[Distribution], parent, depth: int):
         self.string = string
@@ -59,6 +61,7 @@ class _Leaf:
         self.depth = depth
         self.sifted: list[String] = []
         self.row: Optional[list] = None
+        self.index: Optional[int] = None
 
 
 class _Inner:
@@ -81,14 +84,21 @@ class ClassificationTree:
     a leaf is replaced by an inner node (`split`). Neither changes the path
     above an existing node, so a string once sifted resumes where its last
     sift ended, or at the inner node that replaced that leaf.
+
+    Defined leaves are hypothesis states numbered in creation order:
+    `states[q]` is state q's leaf and `access[q]` its access string. Both
+    lists only grow, so an index keeps its meaning across rounds.
     """
 
     def __init__(self, partitioner: Partitioner):
         self.partitioner = partitioner
         self.root = _Inner((), None, 0)
         self.leaves: dict[String, _Leaf] = {}
+        self.states: list[_Leaf] = []
+        self.access: list[String] = []
         self.resume: dict[String, object] = {}
         self.redirected: dict[_Leaf, set[int]] = {}  # row symbols split since `build`
+        self.hypothesis: Optional[Pdfa] = None  # what the last `build` returned
         self._depth = 0
 
     def add_leaf(self, parent: _Inner, key: ClassId, string: String, dist) -> _Leaf:
@@ -97,6 +107,10 @@ class ClassificationTree:
         leaf = _Leaf(string, dist, parent, parent.depth + 1)
         parent.arcs[key] = leaf
         self.leaves[string] = leaf
+        if dist is not None:
+            leaf.index = len(self.states)
+            self.states.append(leaf)
+            self.access.append(string)
         self._depth = max(self._depth, leaf.depth)
         return leaf
 
@@ -131,12 +145,6 @@ class ClassificationTree:
             self.resume[v] = leaf
             leaf.sifted.append(v)
 
-    def defined_leaves(self) -> list[_Leaf]:
-        return sorted(
-            (l for l in self.leaves.values() if l.dist is not None),
-            key=_order,
-        )
-
     def depth(self) -> int:
         """Length of the longest root-to-leaf path, kept up to date on insertion."""
         return self._depth
@@ -153,9 +161,6 @@ class ClassificationTree:
                 return node
             node = node.parent
         raise ValueError("leaves share no ancestor")
-
-    def access_strings(self) -> list[String]:
-        return [l.string for l in self.defined_leaves()]
 
 
 def _order(leaf: _Leaf):
@@ -295,13 +300,18 @@ def build(
     """Construct the hypothesis for the current tree.
 
     Transition targets come from sifting each (leaf, symbol) extension and
-    stay in the leaves' rows across rounds. One pass over the leaves in
-    (length, string) order sifts the rows of leaves new since the last pass
-    and the transitions whose target was split since, which `redirected`
-    names; every other target is known without a query. A leaf that a sift
+    stay in the leaves' rows across rounds. One pass in (length, string)
+    order sifts the rows of leaves new since the last pass and the
+    transitions whose target was split since, which `redirected` names;
+    every other target is known without a query. A leaf that a sift
     discovers sorts after the leaf being filled, so the same pass fills its
     row in turn. Queries thus come in the order of sifting every pair afresh
-    until no leaf appears. State indices follow the final leaf order.
+    until no leaf appears.
+
+    State q is the leaf `tree.states[q]`, so the hypothesis is the previous
+    one with the new leaves appended and the rows this pass wrote replaced;
+    no other row is touched. The access list returned is the tree's, which
+    later builds extend.
 
     Before it sifts a new leaf's row, build hands `prefetch` the row's
     symbols whose strings the memo lacks. Such a string was never sifted,
@@ -309,10 +319,13 @@ def build(
     together, and the queries and their order stay the same.
     """
     m = alphabet.size
-    leaves = tree.defined_leaves()
+    previous = tree.hypothesis
+    built = 0 if previous is None else previous.n_states
+    # every pass fills every new leaf's row, so the rowless leaves are the newest
+    work = sorted([*tree.states[built:], *tree.redirected], key=_order)
     i = 0
-    while i < len(leaves):
-        leaf = leaves[i]
+    while i < len(work):
+        leaf = work[i]
         i += 1
         fresh = leaf.row is None
         if fresh:
@@ -327,11 +340,17 @@ def build(
             target, grew = sift(tree, memo, leaf.string + (s,), mode, monitor, at.child(s))
             leaf.row[s] = target
             if grew and target.dist is not None:
-                insort(leaves, target, key=_order)
-    index = {leaf: q for q, leaf in enumerate(leaves)}
-    rows = tuple(tuple(map(index.get, leaf.row)) for leaf in leaves)
-    pdfa = Pdfa(alphabet, tuple(l.dist for l in leaves), rows, index[tree.leaves[()]])
-    return pdfa, [l.string for l in leaves]
+                insort(work, target, key=_order)
+    rows = {leaf.index: tuple([None if t is None else t.index for t in leaf.row]) for leaf in work}
+    new = range(built, len(tree.states))
+    dists = [tree.states[q].dist for q in new]
+    appended = [rows.pop(q) for q in new]
+    if previous is None:
+        pdfa = Pdfa(alphabet, tuple(dists), tuple(appended), tree.leaves[()].index)
+    else:
+        pdfa = previous.extended(dists, appended, rows)
+    tree.hypothesis = pdfa
+    return pdfa, tree.access
 
 
 def initialize_tree(

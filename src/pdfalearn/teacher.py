@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .automata import UNSET, LanguageModel, MemoModel, Pdfa, is_defined, next_dist
-from .equivcheck import Counterexample, _conflict_kind, hk_equiv
+from .equivcheck import Counterexample, PairSearch, _conflict_kind
 from .errors import ModelFailureError, NotACounterexampleError, PdfaError, TransportError
 from .simplex import Distribution, Partitioner, ZERO_CLASS
 
@@ -58,14 +58,23 @@ class ExactTeacher(Teacher):
     def __init__(self, target: Pdfa, partitioner: Partitioner):
         super().__init__(target.alphabet, partitioner)
         self.target = target
+        self._search: Optional[PairSearch] = None
 
     def mq(self, u) -> Optional[Distribution]:
         self.mq_count += 1
         return next_dist(self.target, u)
 
     def eq(self, hypothesis: Pdfa, partitioner: Optional[Partitioner] = None):
+        """hk_equiv(target, hypothesis), resuming the previous call's pair
+        search: a hypothesis that keeps its states' numbers, as the
+        learner's do, is searched again only from its first changed state."""
         self.eq_count += 1
-        ce = hk_equiv(self.target, hypothesis, partitioner or self.partitioner)
+        partitioner = partitioner or self.partitioner
+        if self._search is None:
+            self._search = PairSearch(self.target, hypothesis, partitioner)
+            ce = self._search.run()
+        else:
+            ce = self._search.resume(hypothesis, partitioner)
         return self._record_ce(hypothesis, ce)
 
 

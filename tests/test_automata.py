@@ -403,3 +403,51 @@ def test_validation_reports_what_the_per_entry_loop_reports(loop_pdfa, merged_pa
             seen[expected and re.sub(r"[0-9-]+", "#", expected[1])] += 1
     assert seen[None] > 100
     assert len(seen) == 7, seen  # each of the six checks fails somewhere, and some mutants pass
+
+
+# --- appending states and replacing rows ---
+
+
+def test_extended_equals_the_constructor_or_raises_its_error(loop_pdfa, merged_pair_pdfa):
+    """`extended` on a valid automaton of the first k states, against the
+    constructor on the same fields: the rows it is not given stay the base's."""
+    rng = random.Random(11)
+    seen = collections.Counter()
+    bases = [loop_pdfa, merged_pair_pdfa] + [
+        random_pdfa(GenSpec(n=12, m=4, theta=theta, seed=seed)) for seed in range(3) for theta in (0.3, 0.9)
+    ]
+    for pdfa in bases:
+        m = pdfa.alphabet.size
+        for alphabet, dists, trans, _ in validation_mutants(rng, pdfa, 300):
+            k = rng.randint(1, len(dists))
+            loops = tuple(tuple(q if s in d.support() else None for s in range(m)) for q, d in enumerate(dists[:k]))
+            if outcome(Pdfa, alphabet, dists[:k], loops) is not None:
+                continue  # a base state's distribution has another alphabet
+            base = Pdfa(alphabet, dists[:k], loops)
+            replaced = {q: trans[q] for q in range(min(k, len(trans))) if rng.random() < 0.5}
+            rows = trans[k:]
+            fields = tuple(replaced.get(q, loops[q]) for q in range(k)) + rows
+            expected = outcome(Pdfa, alphabet, dists, fields)
+            assert outcome(base.extended, dists[k:], rows, replaced) == expected
+            if expected is None:
+                grown = base.extended(dists[k:], rows, replaced)
+                assert grown == Pdfa(alphabet, dists, fields)
+                assert all(grown.trans[q] is base.trans[q] for q in range(k) if q not in replaced)
+            seen[expected and re.sub(r"[0-9-]+", "#", expected[1])] += 1
+    assert seen[None] > 100
+    assert len(seen) == 6, seen  # every row check fails somewhere, as does the state count
+
+
+def test_extended_names_the_constructors_fault(loop_pdfa, ab_alphabet):
+    d = loop_pdfa.dists[2]
+    with pytest.raises(ValueError, match=r"^dists and trans disagree on state count$"):
+        loop_pdfa.extended([d, d], [(3, 3)], {})  # the second new state has no row
+    with pytest.raises(ValueError, match=r"^transition \(1,0\) target 3 out of range$"):
+        loop_pdfa.extended([], [], {1: (3, 1)})
+    with pytest.raises(ValueError, match=r"^state 3 gives positive probability to symbol 1 but has no transition$"):
+        loop_pdfa.extended([d], [(3, None)], {0: (1, 2)})
+    with pytest.raises(ValueError, match=r"^replaced state 3 out of range$"):
+        loop_pdfa.extended([d], [(3, 3)], {3: (3, 3)})
+    grown = loop_pdfa.extended([d], [(3, 3)], {2: (3, 3)})
+    assert grown == Pdfa(ab_alphabet, loop_pdfa.dists + (d,), ((1, 2), (1, 1), (3, 3), (3, 3)))
+    assert grown.trans[0] is loop_pdfa.trans[0] and grown.trans[1] is loop_pdfa.trans[1]

@@ -1,9 +1,14 @@
 """End-to-end CLI behavior: determinism, golden outputs, error reporting."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pdfalearn
 from pdfalearn.bench import parse_partitioner
 from pdfalearn.cli import main, parse_strategy
 from pdfalearn.errors import ParseFailureError
@@ -192,6 +197,51 @@ def test_log_level_env_var(tmp_path, monkeypatch, capsys):
     rc = main(["generate", "--n", "3", "--m", "2", "--theta", "0.0", "--seed", "1"])
     assert rc == 0
     capsys.readouterr()
+
+
+def test_log_level_that_names_no_level_is_warning(tmp_path):
+    """`basic_format` is an attribute of `logging` but no level. Run as a
+    process: under pytest the root logger has handlers, and `basicConfig`
+    then ignores the level it is given."""
+    src = str(Path(pdfalearn.__file__).resolve().parents[1])
+    env = {**os.environ, "PDFA_LOG": "basic_format", "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = tmp_path / "g.pdfa"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pdfalearn.cli", "generate", "--n", "5", "--m", "2", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert load_pdfa(out).alphabet.size == 2
+
+
+USAGE_FAULTS = {  # argv, and what the error's detail names
+    "bench-n-zero": (["bench", "--n", "0"], "--n"),
+    "bench-m-zero": (["bench", "--m", "0"], "--m"),
+    "bench-theta-above-one": (["bench", "--theta", "1.5"], "--theta"),
+    "bench-n-not-a-number": (["bench", "--n", "10,x"], "--n"),
+    "generate-n-zero": (["generate", "--n", "0"], "--n"),
+    "generate-theta-two": (["generate", "--theta", "2"], "--theta"),
+    "sample-negative-n": (["sample", "--target", "TARGET", "-n", "-5"], "-n"),
+    "sample-max-len-zero": (["sample", "--target", "TARGET", "--max-len", "0"], "--max-len"),
+    "compare-n-zero": (["compare", "--target", "TARGET", "-n", "0"], "-n"),
+    "learn-epsilon-two": (
+        ["learn", "--endpoint", "http://127.0.0.1:9", "--symbol-map", "MAP", "--epsilon", "2"], "--epsilon"
+    ),
+    "quotient-without-target": (["quotient"], "--target"),
+}
+
+
+@pytest.mark.parametrize("argv, names", USAGE_FAULTS.values(), ids=USAGE_FAULTS.keys())
+def test_out_of_range_arguments_are_usage_errors(argv, names, tmp_path, loop_pdfa, capsys):
+    from pdfalearn.lmbridge import SymbolMap, save_symbol_map
+
+    save_pdfa(loop_pdfa, tmp_path / "t.pdfa")
+    save_symbol_map(SymbolMap((("a", "a", (2,)), ("b", "b", (3,)))), tmp_path / "map.tsv")
+    paths = {"TARGET": str(tmp_path / "t.pdfa"), "MAP": str(tmp_path / "map.tsv")}
+    assert main([paths.get(a, a) for a in argv]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "UsageError"
+    assert names in err["detail"]
 
 
 def test_empty_sweep_yields_header_only(tmp_path):

@@ -14,6 +14,7 @@ from pdfalearn.equivcheck import (
     CeKind,
     Counterexample,
     HkStats,
+    PairSearch,
     hk_equiv,
     shortest_defined_ce_prefix,
 )
@@ -87,6 +88,29 @@ def test_comparison_never_walks_zero_transitions(merged_pair_pdfa, merged_pair_q
     assert stats.pairs_visited >= 1
     smaller = quotient(merged_pair_pdfa, EXACT)  # positive part only: 1 state
     assert hk_equiv(merged_pair_pdfa, smaller, EXACT) is None
+
+
+def test_a_resumed_search_examines_pairs_again_only_from_the_first_changed_state():
+    kappa = QuantizationPartitioner(10)
+    target = random_pdfa(GenSpec(n=200, m=10, theta=0.9, seed=0))
+    reference = quotient(target, kappa)
+    search, full = PairSearch(target, reference, kappa), HkStats()
+    assert search.run(full) is None and full.pairs_visited == len(search.order) > 50
+    # rows equal by value are unchanged, though they are other objects
+    copy = Pdfa(reference.alphabet, reference.dists, tuple(tuple(list(row)) for row in reference.trans))
+    again = HkStats()
+    assert search.resume(copy, kappa, again) is None and again.pairs_visited == 0
+    # the pair examined last is the first with its state; ending there, the
+    # state now differs from the target's and is examined again alone
+    q = search.order[-1][1]
+    assert [qb for _, qb in search.order].index(q) == len(search.order) - 1
+    terminal_only = Distribution(copy.alphabet, (0,) * copy.alphabet.size + (1,))
+    dists = copy.dists[:q] + (terminal_only,) + copy.dists[q + 1:]
+    ends = Pdfa(copy.alphabet, dists, copy.trans)
+    once = HkStats()
+    ce = search.resume(ends, kappa, once)
+    assert ce is not None and ce == hk_equiv(target, ends, kappa)
+    assert once.pairs_visited == 1
 
 
 # --- verdict agreement with the exhaustive oracle ---

@@ -5,7 +5,9 @@ the transitions whose target was split; `sift` resumes where a string's last
 sift ended. The reference below is the construction they replace: every
 sift walks from the root, and every pass over all (leaf, symbol) pairs
 restarts from the first leaf whenever a sift adds a leaf. Both must ask the
-same membership queries in the same order and produce the same hypotheses.
+same membership queries in the same order and produce the same hypotheses,
+once the learner's states, numbered by leaf creation, are numbered as the
+reference numbers them.
 """
 
 from dataclasses import dataclass, field
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 from pdfalearn.automata import LanguageModel, MemoModel, Pdfa, trim
-from pdfalearn.equivcheck import shortest_defined_ce_prefix
+from pdfalearn.equivcheck import hk_equiv, shortest_defined_ce_prefix
 from pdfalearn.errors import NotACounterexampleError, TeacherUndefinedError
 from pdfalearn.learner import (
     ClassificationTree,
@@ -38,7 +40,7 @@ from pdfalearn.simplex import (
     ExactPartitioner,
     QuantizationPartitioner,
 )
-from pdfalearn.teacher import PacParams, exact_teacher, filter_teacher, pac_teacher
+from pdfalearn.teacher import ExactTeacher, PacParams, exact_teacher, filter_teacher, pac_teacher
 
 KAPPA = QuantizationPartitioner(10)
 EXACT = ExactPartitioner()
@@ -237,7 +239,12 @@ def ref_learn(teacher, partitioner, mode):
 
 
 class Recorder:
-    """Teacher proxy that keeps every MQ string and every hypothesis, in order."""
+    """Teacher proxy that keeps every MQ string and every hypothesis, in order.
+
+    An exact teacher resumes its pair search from one equivalence query to
+    the next; each of its answers must equal `hk_equiv` from scratch, the
+    counterexample and its kind.
+    """
 
     def __init__(self, inner):
         self.inner = inner
@@ -255,15 +262,24 @@ class Recorder:
 
     def eq(self, hypothesis, partitioner=None):
         self.hypotheses.append(hypothesis)
-        return self.inner.eq(hypothesis, partitioner)
+        ce = self.inner.eq(hypothesis, partitioner)
+        if isinstance(self.inner, ExactTeacher):
+            assert ce == hk_equiv(self.inner.target, hypothesis, partitioner or self.inner.partitioner)
+        return ce
+
+
+def _shortlex(u):
+    return len(u), u
 
 
 @dataclass
 class AccessSpy(LearnerMonitor):
-    """Monitor that checks nothing and keeps the access strings of every round."""
+    """Monitor that checks nothing and keeps the access strings of every round:
+    by state in `by_state`, in (length, string) order in `rounds`."""
 
     check_invariants: bool = False
     tree: Optional[ClassificationTree] = None
+    by_state: list = field(default_factory=list)
     rounds: list = field(default_factory=list)
 
     def tree_changed(self, tree, mode):
@@ -271,12 +287,23 @@ class AccessSpy(LearnerMonitor):
         super().tree_changed(tree, mode)
 
     def progress(self, prev_states, new_states):
-        self.rounds.append(self.tree.access_strings())
+        self.by_state.append(list(self.tree.access))
+        self.rounds.append(sorted(self.tree.access, key=_shortlex))
         super().progress(prev_states, new_states)
 
 
 def _parts(pdfa):
     return pdfa.dists, pdfa.trans, pdfa.initial
+
+
+def in_reference_order(pdfa, access):
+    """`pdfa` with its states renumbered as the reference numbers them: in
+    (length, string) order of their access strings `access[q]`."""
+    assert len(access) == pdfa.n_states
+    order = sorted(range(pdfa.n_states), key=lambda q: _shortlex(access[q]))
+    remap = {old: new for new, old in enumerate(order)}
+    rows = tuple(tuple(map(remap.get, pdfa.trans[q])) for q in order)
+    return Pdfa(pdfa.alphabet, tuple(pdfa.dists[q] for q in order), rows, remap[pdfa.initial])
 
 
 def assert_same_run(make_teacher, partitioner, mode):
@@ -285,7 +312,10 @@ def assert_same_run(make_teacher, partitioner, mode):
     ref = Recorder(make_teacher())
     expected, ref_rounds = ref_learn(ref, partitioner, mode)
     assert new.queries == ref.queries
-    assert [_parts(h) for h in new.hypotheses] == [_parts(h) for h in ref.hypotheses]
+    # the learner numbers states by leaf creation; every hypothesis after the
+    # initial one comes from a build, whose access strings the spy kept
+    built = [in_reference_order(h, a) for h, a in zip(new.hypotheses[1:], spy.by_state, strict=True)]
+    assert [_parts(h) for h in new.hypotheses[:1] + built] == [_parts(h) for h in ref.hypotheses]
     assert spy.rounds == ref_rounds
     assert _parts(learned) == _parts(expected)
     return new
@@ -406,6 +436,35 @@ def test_splits_record_exactly_the_rows_a_scan_finds(mode):
             assert tree.redirected == scan_for_redirected_rows(tree)
             redirected += sum(map(len, tree.redirected.values()))
     assert redirected > 10
+
+
+@pytest.mark.parametrize("mode", sorted(TEACHERS))
+def test_a_build_rewrites_only_new_and_redirected_rows(mode):
+    """States keep their numbers: each hypothesis is the last one with the
+    new leaves appended, and shares every row that `build` did not rewrite."""
+    make, learner_mode = TEACHERS[mode]
+    shared = 0
+    for seed in range(4):
+        target = random_pdfa(GenSpec(n=100, m=10, theta=0.95, seed=seed))
+        teacher = make(target, KAPPA)
+        memo = MemoModel(target.alphabet, teacher.mq)
+        hypothesis = _initial_hypothesis(target.alphabet, memo.next(()), learner_mode)
+        ce = teacher.eq(hypothesis)
+        if ce is None:
+            continue
+        tree = initialize_tree(ce.gamma, memo, hypothesis, KAPPA, learner_mode)
+        previous, _ = build(tree, memo, target.alphabet, learner_mode)
+        while (ce := teacher.eq(previous)) is not None:
+            update(tree, memo, previous, tree.access, ce.gamma, learner_mode)
+            rewritten = {leaf.index for leaf in tree.redirected}
+            hypothesis, access = build(tree, memo, target.alphabet, learner_mode)
+            n = previous.n_states
+            assert access[:n] == [leaf.string for leaf in tree.states[:n]]
+            assert hypothesis.dists[:n] == previous.dists and hypothesis.initial == previous.initial
+            assert {q for q in range(n) if hypothesis.trans[q] is not previous.trans[q]} == rewritten
+            shared += n - len(rewritten)
+            previous = hypothesis
+    assert shared > 300
 
 
 def test_depth_is_kept_on_a_tree_deeper_than_the_recursion_limit():

@@ -1,13 +1,16 @@
 """Exact, filter, and sampling teachers."""
 
+import random
+
 import pytest
 
 from pdfalearn.automata import Pdfa, is_defined, quotient
 from pdfalearn.equivcheck import CeKind, hk_equiv
-from pdfalearn.learner import LearnerMode, _initial_hypothesis
+from pdfalearn.errors import AlphabetMismatchError
+from pdfalearn.learner import LearnerConfig, LearnerMode, _initial_hypothesis, learn
 from pdfalearn.randgen import GenSpec, random_pdfa
 from pdfalearn.simplex import Distribution, ExactPartitioner, QuantizationPartitioner
-from pdfalearn.teacher import PacParams, exact_teacher, filter_teacher, pac_teacher
+from pdfalearn.teacher import ExactTeacher, PacParams, exact_teacher, filter_teacher, pac_teacher
 
 EXACT = ExactPartitioner()
 
@@ -33,6 +36,89 @@ def test_exact_eq_finds_truncation_witness(loop_pdfa, loop_pdfa_top2, ab_alphabe
     ce = t.eq(loop_pdfa_top2)
     assert ce.gamma == ab_alphabet.string("b")
     assert t.last_ce_length == 1
+
+
+class KeepingTeacher(ExactTeacher):
+    """An exact teacher that keeps every hypothesis it is asked about."""
+
+    def __init__(self, target, partitioner):
+        super().__init__(target, partitioner)
+        self.hypotheses = []
+
+    def eq(self, hypothesis, partitioner=None):
+        self.hypotheses.append(hypothesis)
+        return super().eq(hypothesis, partitioner)
+
+
+def changed_in_place(rng, pdfa):
+    """`pdfa` with its rows rebuilt as equal copies, then with one row
+    changed, one distribution changed, and another initial state; every
+    state keeps its number."""
+    n, terminal_only = pdfa.n_states, Distribution(pdfa.alphabet, (0,) * pdfa.alphabet.size + (1,))
+    copies = tuple(tuple(list(row)) for row in pdfa.trans)
+    yield Pdfa(pdfa.alphabet, pdfa.dists, copies, pdfa.initial)
+    q = rng.randrange(n)
+    row = list(pdfa.trans[q])
+    row[rng.choice(sorted(pdfa.dists[q].support()) or [0])] = rng.randrange(n)
+    yield Pdfa(pdfa.alphabet, pdfa.dists, copies[:q] + (tuple(row),) + copies[q + 1:], pdfa.initial)
+    q = rng.randrange(n)
+    dists = pdfa.dists[:q] + (terminal_only,) + pdfa.dists[q + 1:]
+    yield Pdfa(pdfa.alphabet, dists, pdfa.trans, pdfa.initial)
+    yield Pdfa(pdfa.alphabet, pdfa.dists, pdfa.trans, rng.randrange(n))
+
+
+def nudged(pdfa):
+    """`pdfa` with 1e-9 of each state's largest probability moved to its
+    second largest: the same automaton to a coarse partitioner, not to EXACT."""
+    dists = []
+    for d in pdfa.dists:
+        probs = list(d.probs)
+        big, second = sorted(range(len(probs)), key=probs.__getitem__)[-1:-3:-1]
+        if probs[second] > 0:
+            probs[big] -= 1e-9
+            probs[second] += 1e-9
+        dists.append(Distribution(pdfa.alphabet, probs))
+    return Pdfa(pdfa.alphabet, tuple(dists), pdfa.trans, pdfa.initial)
+
+
+def test_exact_teacher_answers_as_hk_equiv_on_any_sequence_of_hypotheses():
+    """`ExactTeacher.eq` resumes the previous call's pair search. Whatever it
+    is asked next, it answers as `hk_equiv` from scratch: learner rounds in
+    order and shuffled, unrelated automata, a hypothesis with a row or a
+    distribution changed in place, and a switch of partitioner."""
+    rng = random.Random(5)
+    kappa = QuantizationPartitioner(10)
+    partitioners = [kappa, EXACT, QuantizationPartitioner(3)]
+    target = random_pdfa(GenSpec(n=200, m=10, theta=0.9, seed=0))
+    keeper = KeepingTeacher(target, kappa)
+    learn(keeper, kappa, LearnerConfig(mode=LearnerMode.OMIT_ZERO))
+    rounds = keeper.hypotheses
+    assert len(rounds) > 10
+    unrelated = [random_pdfa(GenSpec(n=n, m=10, theta=0.9, seed=n)) for n in (5, 50, 200)]
+    shuffled = rng.sample(rounds, len(rounds))
+    sequence = [(h, kappa) for h in rounds]
+    for h in shuffled + unrelated + [target, quotient(target, kappa)]:
+        sequence.append((h, rng.choice(partitioners)))
+        sequence.extend((v, rng.choice(partitioners[:1] * 3 + partitioners)) for v in changed_in_place(rng, h))
+    # only the partitioner tells these two apart
+    near = nudged(target)
+    assert hk_equiv(target, near, kappa) is None and hk_equiv(target, near, EXACT) is not None
+    sequence += [(near, kappa), (near, EXACT), (near, kappa)]
+    teacher = exact_teacher(target, kappa)
+    answers = []
+    for h, p in sequence:
+        ce = teacher.eq(h, p)
+        assert ce == hk_equiv(target, h, p)
+        answers.append(ce is None)
+    assert any(answers) and not all(answers)
+    # a refused hypothesis leaves the search as it was
+    other = random_pdfa(GenSpec(n=5, m=3, theta=0.5, seed=1))
+    for h, p in ((near, kappa), (other, EXACT), (near, EXACT)):
+        if h is other:
+            with pytest.raises(AlphabetMismatchError):
+                teacher.eq(h, p)
+        else:
+            assert teacher.eq(h, p) == hk_equiv(target, h, p)
 
 
 # --- filter teacher ---
