@@ -35,6 +35,7 @@ from .simplex import (
 
 String = tuple[int, ...]
 EMPTY: String = ()
+TERMINATION_TOL = 1e-12  # termination_mass stops once no state's mass moves by more
 
 
 @dataclass(frozen=True)
@@ -326,7 +327,7 @@ class SupportEdges:
         return new, delta
 
 
-def termination_mass(pdfa: Pdfa, tol: float = 1e-12, max_iter: int = 10**6) -> list[float]:
+def termination_mass(pdfa: Pdfa, max_iter: int = 10**6) -> list[float]:
     """Per-state probability of eventual termination.
 
     Monotone fixed-point iteration of the completion step from 0; converges from below.
@@ -335,7 +336,7 @@ def termination_mass(pdfa: Pdfa, tol: float = 1e-12, max_iter: int = 10**6) -> l
     x, delta = [0.0] * pdfa.n_states, float("inf")
     for _ in range(max_iter):
         x, delta = step(x)
-        if delta < tol:
+        if delta < TERMINATION_TOL:
             return x
     raise NonConvergenceError(delta, max_iter)
 

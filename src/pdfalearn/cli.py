@@ -18,14 +18,17 @@ from .automata import compose, materialize_compose, quotient
 from .errors import ParseFailureError, PdfaError
 from .learner import LearnerMode
 from .lmbridge import load_symbol_map, remote_token_model, symbol_model
-from .pipeline import compare_distributions, guided_sample
+from .pipeline import compare_distributions, digits_deciding_bin, guided_sample
 from .randgen import GenSpec, random_pdfa
 from .simplex import Alphabet, TopP, TopR
 from .teacher import PacParams, pac_teacher
 
 
+NO_STRATEGY = ("none", "")
+
+
 def parse_strategy(spec: str):
-    if spec in ("none", ""):
+    if spec in NO_STRATEGY:
         return None
     kind, _, arg = spec.partition(":")
     try:
@@ -73,6 +76,8 @@ POSITIVE = _checked(int, lambda v: v >= 1, "an integer >= 1")
 COUNT = _checked(int, lambda v: v >= 0, "an integer >= 0")
 THETA = _checked(float, lambda v: 0 <= v < 1, "a number in [0, 1)")
 OPEN_UNIT = _checked(float, lambda v: 0 < v < 1, "a number in (0, 1)")
+# equal-width value bins that a decimal digit prefix decides
+DIGIT_BINS = _checked(int, lambda v: v >= 1 and digits_deciding_bin(v) is not None, "a divisor of 10^6")
 
 
 def _write_or_print(text: str, out):
@@ -83,14 +88,19 @@ def _write_or_print(text: str, out):
         sys.stdout.write(text)
 
 
+def _target_model(args):
+    """The --target automaton, composed with --guide under --strategy if a guide is given."""
+    pdfa = fileio.load_pdfa(args.target)
+    if args.guide:
+        return materialize_compose(pdfa, fileio.load_guide(args.guide), parse_strategy(args.strategy))
+    return pdfa
+
+
 def cmd_learn(args):
     partitioner = bench.parse_partitioner(args.equiv)
-    strategy = parse_strategy(args.strategy)
     fields = dict(theta=float("nan"), mode=args.mode, seed=args.seed)
     if args.target:
-        pdfa = fileio.load_pdfa(args.target)
-        if args.guide:
-            pdfa = materialize_compose(pdfa, fileio.load_guide(args.guide), strategy)
+        pdfa = _target_model(args)
         teacher, mode = bench.teacher_for_mode(pdfa, partitioner, args.mode)
         learned, record = bench.learning_run(
             teacher, mode, partitioner, quotient(pdfa, partitioner), n=pdfa.n_states, **fields
@@ -102,7 +112,7 @@ def cmd_learn(args):
         with remote_token_model(args.endpoint, bos=args.bos, eos=args.eos) as tm:
             model = symbol_model(tm, smap, Alphabet(tuple(name for name, _, _ in smap.entries)))
             if args.guide:
-                model = compose(model, fileio.load_guide(args.guide), strategy)
+                model = compose(model, fileio.load_guide(args.guide), parse_strategy(args.strategy))
             params = PacParams(epsilon=args.epsilon, delta=args.delta, max_len=args.max_len)
             teacher = pac_teacher(model, partitioner, params, seed=args.seed)
             learned, record = bench.learning_run(teacher, LearnerMode.OMIT_ZERO, partitioner, n=None, **fields)
@@ -133,25 +143,12 @@ def cmd_bench(args):
 def cmd_quotient(args):
     partitioner = bench.parse_partitioner(args.equiv)
     pdfa = fileio.load_pdfa(args.target)
-    reduced = quotient(pdfa, partitioner)
-    if args.out:
-        fileio.save_pdfa(reduced, args.out)
-    else:
-        sys.stdout.write(fileio.format_pdfa(reduced))
+    _write_or_print(fileio.format_pdfa(quotient(pdfa, partitioner)), args.out)
     return 0
 
 
-def _sampling_model(args):
-    pdfa = fileio.load_pdfa(args.target)
-    strategy = parse_strategy(args.strategy)
-    if args.guide:
-        guide = fileio.load_guide(args.guide)
-        return materialize_compose(pdfa, guide, strategy)
-    return pdfa
-
-
 def cmd_sample(args):
-    model = _sampling_model(args)
+    model = _target_model(args)
     samples = guided_sample(model.language_model(), args.n, args.max_len, args.seed)
     lines = ["#string\ttruncated"]
     for s in samples:
@@ -161,7 +158,7 @@ def cmd_sample(args):
 
 
 def cmd_compare(args):
-    model = _sampling_model(args)
+    model = _target_model(args)
     samples = guided_sample(model.language_model(), args.n, args.max_len, args.seed)
     report = compare_distributions(
         samples, model.alphabet, model=model, bins=args.bins, max_len=args.max_len
@@ -172,11 +169,7 @@ def cmd_compare(args):
 
 def cmd_generate(args):
     spec = GenSpec(n=args.n_states, m=args.m, theta=args.theta_value, seed=args.seed)
-    pdfa = random_pdfa(spec)
-    if args.out:
-        fileio.save_pdfa(pdfa, args.out)
-    else:
-        sys.stdout.write(fileio.format_pdfa(pdfa))
+    _write_or_print(fileio.format_pdfa(random_pdfa(spec)), args.out)
     return 0
 
 
@@ -184,56 +177,55 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pdfalearn")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
+    def command(name, func, summary, seed=True, equiv=False):
+        """A subcommand taking --out, and --seed and --equiv where `func` reads them."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("--out", default=None)
-        p.add_argument("--equiv", default="exact", help="exact|quant:K|topk:R")
+        if seed:
+            p.add_argument("--seed", type=COUNT, default=0)
+        if equiv:
+            p.add_argument("--equiv", default="exact", help="exact|quant:K|topk:R")
+        return p
 
-    p = sub.add_parser("learn", help="learn a PDFA from a target file or a served model")
-    common(p)
+    def guided(p):
+        p.add_argument("--guide", default=None)
+        p.add_argument("--strategy", default="none", help="none|topk:R|topp:P, with --guide")
+
+    p = command("learn", cmd_learn, "learn a PDFA from a target file or a served model", equiv=True)
     p.add_argument("--target", default=None)
     p.add_argument("--endpoint", default=None)
     p.add_argument("--symbol-map", default=None)
-    p.add_argument("--guide", default=None)
-    p.add_argument("--strategy", default="none")
+    guided(p)
     p.add_argument("--mode", default="omit-zero", choices=bench.MODES)
     p.add_argument("--epsilon", type=OPEN_UNIT, default=0.05)
     p.add_argument("--delta", type=OPEN_UNIT, default=0.05)
     p.add_argument("--max-len", type=POSITIVE, default=50)
     p.add_argument("--bos", type=int, default=0)
     p.add_argument("--eos", type=int, default=1)
-    p.set_defaults(func=cmd_learn)
 
-    p = sub.add_parser("bench", help="run the three-mode benchmark sweep")
-    common(p)
+    p = command("bench", cmd_bench, "run the three-mode benchmark sweep", equiv=True)
     p.add_argument("--n", type=_listed(POSITIVE), default="50", help="comma-separated nominal sizes")
     p.add_argument("--theta", type=_listed(THETA), default="0.9", help="comma-separated zero densities")
     p.add_argument("--m", type=POSITIVE, default=10)
-    p.add_argument("--seeds", type=int, default=10, help="number of instances per point")
-    p.set_defaults(func=cmd_bench)
+    p.add_argument("--seeds", type=COUNT, default=10, help="number of instances per point")
 
-    p = sub.add_parser("quotient", help="minimize a PDFA modulo an equivalence")
-    common(p)
+    p = command("quotient", cmd_quotient, "minimize a PDFA modulo an equivalence", seed=False, equiv=True)
     p.add_argument("--target", required=True)
-    p.set_defaults(func=cmd_quotient)
 
     for name, func in (("sample", cmd_sample), ("compare", cmd_compare)):
-        p = sub.add_parser(name)
-        common(p)
+        p = command(name, func, None)
         p.add_argument("--target", required=True)
-        p.add_argument("--guide", default=None)
-        p.add_argument("--strategy", default="none")
+        guided(p)
         p.add_argument("-n", type=COUNT if name == "sample" else POSITIVE, default=1000)
         p.add_argument("--max-len", type=POSITIVE, default=50)
-        p.add_argument("--bins", type=POSITIVE, default=10)
-        p.set_defaults(func=func)
+        if name == "compare":
+            p.add_argument("--bins", type=DIGIT_BINS, default=10)
 
-    p = sub.add_parser("generate", help="emit a random benchmark instance")
-    common(p)
+    p = command("generate", cmd_generate, "emit a random benchmark instance")
     p.add_argument("--n", dest="n_states", type=POSITIVE, default=50)
     p.add_argument("--m", type=POSITIVE, default=10)
     p.add_argument("--theta", dest="theta_value", type=THETA, default=0.9)
-    p.set_defaults(func=cmd_generate)
     return parser
 
 
@@ -248,6 +240,8 @@ def main(argv=None) -> int:
                 parser.error("need --target or --endpoint")
             if args.mode != "omit-zero":
                 parser.error(f"--endpoint learns in omit-zero mode only, not {args.mode}")
+        if getattr(args, "strategy", "none") not in NO_STRATEGY and not args.guide:
+            parser.error(f"--strategy {args.strategy} composes with a guide and needs --guide")
     except UsageError as exc:
         print(json.dumps({"error": "UsageError", "detail": str(exc)}), file=sys.stderr)
         return 2

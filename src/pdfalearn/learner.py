@@ -26,6 +26,8 @@ from .errors import (
 from .simplex import ClassId, Distribution, Partitioner, ZERO_CLASS
 from .teacher import Teacher
 
+MAX_ROUNDS = 100_000  # every round adds a state, so a run that outlasts this many is stuck
+
 
 class LearnerMode(Enum):
     OMIT_ZERO = "omit-zero"
@@ -37,7 +39,6 @@ class LearnerConfig:
     mode: LearnerMode = LearnerMode.OMIT_ZERO
     max_query_len: Optional[int] = None
     max_queries: Optional[int] = None
-    max_iterations: int = 100_000
     monitor: Optional["LearnerMonitor"] = None
 
 
@@ -176,7 +177,6 @@ class LearnerMonitor:
     """
 
     is_defined_fn: Optional[Callable[[String], bool]] = None
-    check_invariants: bool = True
     events: int = 0
     violations: list = field(default_factory=list)
 
@@ -186,8 +186,6 @@ class LearnerMonitor:
 
     def tree_changed(self, tree: ClassificationTree, mode: LearnerMode):
         self.events += 1
-        if not self.check_invariants:
-            return
         if mode is LearnerMode.OMIT_ZERO:
             for leaf in tree.leaves.values():
                 if leaf.dist is None:
@@ -204,17 +202,17 @@ class LearnerMonitor:
 
     def sift_depth(self, before: int, after: int):
         self.events += 1
-        if self.check_invariants and after > before:
+        if after > before:
             self._fail("sift increased the tree depth")
 
     def counterexample(self, hypothesis: Pdfa, gamma: String, hyp_defined: bool):
         self.events += 1
-        if self.check_invariants and not hyp_defined:
+        if not hyp_defined:
             self._fail(f"counterexample {gamma!r} undefined in the hypothesis")
 
     def progress(self, prev_states: int, new_states: int):
         self.events += 1
-        if self.check_invariants and new_states <= prev_states:
+        if new_states <= prev_states:
             self._fail("hypothesis did not grow across an equivalence failure")
 
 
@@ -483,7 +481,7 @@ def learn(teacher: Teacher, partitioner: Partitioner, config: Optional[LearnerCo
     tree = initialize_tree(ce.gamma, memo, hypothesis, partitioner, mode, monitor)
 
     prev_states = hypothesis.n_states
-    for _ in range(config.max_iterations):
+    for _ in range(MAX_ROUNDS):
         hypothesis, access = build(tree, memo, teacher.alphabet, mode, monitor, prefetch)
         if monitor:
             monitor.progress(prev_states, hypothesis.n_states)

@@ -323,17 +323,18 @@ def _ks_against_pmf(lengths, pmf):
 # Exact value/length laws of a finite model
 # ---------------------------------------------------------------------------
 
+def digits_deciding_bin(bins: int) -> Optional[int]:
+    """The fewest digits k <= 6 that decide each of `bins` equal-width bins (10^k % bins == 0), or None."""
+    return next((k for k in range(1, 7) if (10**k) % bins == 0), None)
+
+
 def analytic_value_bins(pdfa: Pdfa, bins: int, max_len: int) -> list[float]:
     """Exact bin masses of parsed values, conditioned on completion.
 
-    Bin edges must align with a decimal grid (bins divides a power of ten),
-    so a bounded digit prefix decides every bin.
+    Bin edges must align with a decimal grid (`digits_deciding_bin`), so a bounded
+    digit prefix decides every bin. AllZeroError if nothing completes within max_len.
     """
-    depth_needed = None
-    for k in range(1, 7):
-        if (10**k) % bins == 0:
-            depth_needed = k
-            break
+    depth_needed = digits_deciding_bin(bins)
     if depth_needed is None:
         raise ValueError(f"{bins} equal-width bins do not align with a decimal digit grid")
     digits = digit_indices(pdfa.alphabet)
@@ -374,12 +375,12 @@ def analytic_value_bins(pdfa: Pdfa, bins: int, max_len: int) -> list[float]:
                 grown[(t, depth + 1, nxt)] += mass * prob
         frontier = grown
     if total <= 0:
-        raise ValueError("model never completes within max_len")
+        raise AllZeroError("model never completes within max_len")
     return [m / total for m in masses]
 
 
 def analytic_length_pmf(pdfa: Pdfa, max_len: int) -> list[float]:
-    """Exact law of completed lengths (0..max_len-1), conditioned on completion."""
+    """Exact law of completed lengths (0..max_len-1), conditioned on completion (AllZeroError if none)."""
     n = pdfa.n_states
     support = SupportEdges(pdfa)
     alive = [0.0] * n
@@ -398,7 +399,7 @@ def analytic_length_pmf(pdfa: Pdfa, max_len: int) -> list[float]:
         alive = nxt
     total = sum(pmf)
     if total <= 0:
-        raise ValueError("model never completes within max_len")
+        raise AllZeroError("model never completes within max_len")
     return [p / total for p in pmf]
 
 

@@ -234,7 +234,7 @@ def oracle_analytic_value_bins(pdfa, bins, max_len):
                 grown[(pdfa.trans[q][s], depth + 1, nxt)] += mass * float(dist.prob(s))
         frontier = grown
     if total <= 0:
-        raise ValueError("model never completes within max_len")
+        raise AllZeroError("model never completes within max_len")
     return [m / total for m in masses]
 
 
@@ -257,7 +257,7 @@ def oracle_analytic_length_pmf(pdfa, max_len):
         alive = nxt
     total = sum(pmf)
     if total <= 0:
-        raise ValueError("model never completes within max_len")
+        raise AllZeroError("model never completes within max_len")
     return [p / total for p in pmf]
 
 
@@ -539,9 +539,10 @@ def test_exact_laws_match_oracle_on_digit_composites():
                 laws[got[0].__name__ if isinstance(got, tuple) else "bins"] += 1
             got = outcome(analytic_length_pmf, pdfa, max_len)
             assert got == outcome(oracle_analytic_length_pmf, pdfa, max_len)
-    # every path is taken: laws, parse failures, and misaligned bins or
-    # models that never complete in time
-    assert laws["bins"] > 100 and laws["ParseFailureError"] > 10 and laws["ValueError"] > 50
+    # every path is taken: laws, parse failures, misaligned bins (ValueError)
+    # and models that never complete in time (AllZeroError)
+    assert laws["bins"] > 100 and laws["ParseFailureError"] > 10
+    assert laws["ValueError"] > 50 and laws["AllZeroError"] > 50
 
 
 def test_exact_laws_match_oracle_on_random_and_rational_instances(request):

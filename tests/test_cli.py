@@ -228,6 +228,26 @@ USAGE_FAULTS = {  # argv, and what the error's detail names
         ["learn", "--endpoint", "http://127.0.0.1:9", "--symbol-map", "MAP", "--epsilon", "2"], "--epsilon"
     ),
     "quotient-without-target": (["quotient"], "--target"),
+    # flags a command does not read are refused, not ignored
+    "quotient-seed": (["quotient", "--target", "TARGET", "--seed", "1"], "--seed"),
+    "sample-equiv": (["sample", "--target", "TARGET", "--equiv", "exact"], "--equiv"),
+    "sample-bins": (["sample", "--target", "TARGET", "--bins", "10"], "--bins"),
+    "compare-equiv": (["compare", "--target", "TARGET", "--equiv", "exact"], "--equiv"),
+    "generate-equiv": (["generate", "--equiv", "exact"], "--equiv"),
+    "generate-negative-seed": (["generate", "--n", "5", "--m", "2", "--seed", "-1"], "--seed"),
+    "sample-negative-seed": (["sample", "--target", "TARGET", "-n", "3", "--seed", "-5"], "--seed"),
+    "compare-negative-seed": (["compare", "--target", "TARGET", "-n", "3", "--seed", "-5"], "--seed"),
+    "bench-negative-seed": (["bench", "--n", "5", "--m", "2", "--seed", "-1"], "--seed"),
+    "bench-negative-seeds": (["bench", "--n", "5", "--m", "2", "--seeds", "-2"], "--seeds"),
+    "learn-endpoint-negative-seed": (
+        ["learn", "--endpoint", "http://127.0.0.1:9", "--symbol-map", "MAP", "--seed", "-1"], "--seed"
+    ),
+    "compare-bins-seven": (["compare", "--target", "TARGET", "--bins", "7"], "--bins"),
+    "sample-strategy-without-guide": (
+        ["sample", "--target", "TARGET", "-n", "200", "--seed", "3", "--strategy", "topk:1"], "--guide"
+    ),
+    "compare-strategy-without-guide": (["compare", "--target", "TARGET", "--strategy", "topk:1"], "--guide"),
+    "learn-strategy-without-guide": (["learn", "--target", "TARGET", "--strategy", "topk:1"], "--guide"),
 }
 
 
@@ -242,6 +262,19 @@ def test_out_of_range_arguments_are_usage_errors(argv, names, tmp_path, loop_pdf
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "UsageError"
     assert names in err["detail"]
+
+
+def test_compare_that_never_completes_is_a_domain_error(tmp_path, capsys):
+    """No walk completes within --max-len, so the exact laws have no mass to condition on."""
+    from pdfalearn import Alphabet, Distribution, Pdfa
+
+    ab = Alphabet(("1",))
+    save_pdfa(Pdfa(ab, (Distribution(ab, (1.0, 0.0)), Distribution(ab, (0.5, 0.5))), ((1,), (1,))),
+              tmp_path / "t.pdfa")
+    assert main(["compare", "--target", str(tmp_path / "t.pdfa"), "-n", "5", "--max-len", "1"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "AllZeroError"
+    assert "max_len" in err["detail"]
 
 
 def test_empty_sweep_yields_header_only(tmp_path):

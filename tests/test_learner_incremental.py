@@ -277,19 +277,22 @@ class AccessSpy(LearnerMonitor):
     """Monitor that checks nothing and keeps the access strings of every round:
     by state in `by_state`, in (length, string) order in `rounds`."""
 
-    check_invariants: bool = False
     tree: Optional[ClassificationTree] = None
     by_state: list = field(default_factory=list)
     rounds: list = field(default_factory=list)
 
     def tree_changed(self, tree, mode):
         self.tree = tree
-        super().tree_changed(tree, mode)
+
+    def sift_depth(self, before, after):
+        pass
+
+    def counterexample(self, hypothesis, gamma, hyp_defined):
+        pass
 
     def progress(self, prev_states, new_states):
         self.by_state.append(list(self.tree.access))
         self.rounds.append(sorted(self.tree.access, key=_shortlex))
-        super().progress(prev_states, new_states)
 
 
 def _parts(pdfa):
