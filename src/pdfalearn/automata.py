@@ -118,13 +118,24 @@ class Pdfa:
         return PdfaLanguageModel(self)
 
 
+@functools.cache
+def _indices(m: int) -> frozenset[int]:
+    return frozenset(range(m))
+
+
+def _check_symbols(u: Sequence[int], m: int) -> None:
+    """Raise UnknownSymbolError unless every symbol of u is in range(m): one set test."""
+    if not _indices(m).issuperset(u):
+        raise UnknownSymbolError(f"symbol index {next(s for s in u if not 0 <= s < m)} not in alphabet")
+
+
 def walk(pdfa: Pdfa, u: Sequence[int]) -> Optional[int]:
-    """Follow the transition structure from the initial state; None if a step is missing."""
-    q, m = pdfa.initial, pdfa.alphabet.size
+    """Follow the transitions from the initial state; None if a step is missing. Symbols are checked first."""
+    u = tuple(u)
+    _check_symbols(u, pdfa.alphabet.size)
+    q, trans = pdfa.initial, pdfa.trans
     for s in u:
-        if not 0 <= s < m:
-            raise UnknownSymbolError(f"symbol index {s} not in alphabet")
-        q = pdfa.trans[q][s]
+        q = trans[q][s]
         if q is None:
             return None
     return q
@@ -134,11 +145,6 @@ def next_dist(pdfa: Pdfa, u: Sequence[int]) -> Optional[Distribution]:
     """Distribution at the state reached by u, or None when the walk dies."""
     q = walk(pdfa, u)
     return None if q is None else pdfa.dists[q]
-
-
-@functools.cache
-def _indices(m: int) -> frozenset[int]:
-    return frozenset(range(m))
 
 
 class LanguageModel:
@@ -172,9 +178,7 @@ class LanguageModel:
     def cursor(self, u: Sequence[int]):
         """Fold `step` over u: the cursor after u, or None once a step leaves
         the support. An unknown symbol anywhere in u raises, as in `walk`."""
-        if not _indices(self.alphabet.size).issuperset(u):
-            bad = next(s for s in u if not 0 <= s < self.alphabet.size)
-            raise UnknownSymbolError(f"symbol index {bad} not in alphabet")
+        _check_symbols(u, self.alphabet.size)
         cursor, step = self.start(), self.step
         for s in u:
             cursor = step(cursor, s)
@@ -229,6 +233,8 @@ class MemoModel(LanguageModel):
     Answers live on the trie at `root`: a caller walking it reads
     `node.value` and calls `value` only where that is UNSET. A string whose
     answer raised stays UNSET. `misses` counts the calls to `answer`.
+    A cursor is (trie node, its string): `step` asks nothing and is None where s leaves
+    the support of an answer already read. `next(u)` asks u whatever its prefixes' answers.
     """
 
     def __init__(self, alphabet: Alphabet, answer):
@@ -248,6 +254,18 @@ class MemoModel(LanguageModel):
         u = tuple(u)
         return self.value(self.root.find(u), u)
 
+    def start(self) -> tuple[Prefix, String]:
+        return self.root, EMPTY
+
+    def step(self, cursor: tuple[Prefix, String], s: int) -> Optional[tuple[Prefix, String]]:
+        node, u = cursor
+        if node.value is None or (node.value is not UNSET and s not in node.value.support()):
+            return None
+        return node.child(s), u + (s,)
+
+    def dist(self, cursor: tuple[Prefix, String]) -> Optional[Distribution]:
+        return self.value(*cursor)
+
 
 class PdfaLanguageModel(LanguageModel):
     """Support-following view of a PDFA as a language model."""
@@ -264,6 +282,16 @@ class PdfaLanguageModel(LanguageModel):
 
     def dist(self, q: int) -> Distribution:
         return self.pdfa.dists[q]
+
+    def cursor(self, u: Sequence[int]) -> Optional[int]:
+        """The state after u, or None once a step leaves the support: `step`'s fold, in one loop."""
+        _check_symbols(u, self.alphabet.size)
+        q, dists, trans = self.pdfa.initial, self.pdfa.dists, self.pdfa.trans
+        for s in u:
+            if s not in dists[q].support():
+                return None
+            q = trans[q][s]
+        return q
 
 
 def _prefix_fold(model: LanguageModel, w: Sequence[int]):

@@ -80,6 +80,11 @@ OPEN_UNIT = _checked(float, lambda v: 0 < v < 1, "a number in (0, 1)")
 DIGIT_BINS = _checked(int, lambda v: v >= 1 and digits_deciding_bin(v) is not None, "a divisor of 10^6")
 
 
+# the flags only `learn --endpoint` reads; one not given is absent from the args: the library default applies
+ENDPOINT_FLAGS = {"--endpoint": str, "--symbol-map": str, "--epsilon": OPEN_UNIT, "--delta": OPEN_UNIT,
+                  "--max-len": POSITIVE, "--bos": int, "--eos": int}
+
+
 def _write_or_print(text: str, out):
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -109,11 +114,11 @@ def cmd_learn(args):
         # the language model served at --endpoint, with symbols from --symbol-map;
         # the learned state count stands in for n, and nothing verifies the result
         smap = load_symbol_map(args.symbol_map)
-        with remote_token_model(args.endpoint, bos=args.bos, eos=args.eos) as tm:
+        with remote_token_model(args.endpoint, **{k: v for k, v in vars(args).items() if k in ("bos", "eos")}) as tm:
             model = symbol_model(tm, smap, Alphabet(tuple(name for name, _, _ in smap.entries)))
             if args.guide:
                 model = compose(model, fileio.load_guide(args.guide), parse_strategy(args.strategy))
-            params = PacParams(epsilon=args.epsilon, delta=args.delta, max_len=args.max_len)
+            params = PacParams(**{k: v for k, v in vars(args).items() if k in ("epsilon", "delta", "max_len")})
             teacher = pac_teacher(model, partitioner, params, seed=args.seed)
             learned, record = bench.learning_run(teacher, LearnerMode.OMIT_ZERO, partitioner, n=None, **fields)
     if args.out:
@@ -194,15 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("learn", cmd_learn, "learn a PDFA from a target file or a served model", equiv=True)
     p.add_argument("--target", default=None)
-    p.add_argument("--endpoint", default=None)
-    p.add_argument("--symbol-map", default=None)
     guided(p)
     p.add_argument("--mode", default="omit-zero", choices=bench.MODES)
-    p.add_argument("--epsilon", type=OPEN_UNIT, default=0.05)
-    p.add_argument("--delta", type=OPEN_UNIT, default=0.05)
-    p.add_argument("--max-len", type=POSITIVE, default=50)
-    p.add_argument("--bos", type=int, default=0)
-    p.add_argument("--eos", type=int, default=1)
+    for flag, kind in ENDPOINT_FLAGS.items():
+        p.add_argument(flag, type=kind, default=argparse.SUPPRESS)
 
     p = command("bench", cmd_bench, "run the three-mode benchmark sweep", equiv=True)
     p.add_argument("--n", type=_listed(POSITIVE), default="50", help="comma-separated nominal sizes")
@@ -235,11 +235,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        given = [f for f in ENDPOINT_FLAGS if f[2:].replace("-", "_") in vars(args)]
+        if args.command == "learn" and args.target and given:
+            parser.error(f"learn --target takes no {given[0]}: only --endpoint reads it")
         if args.command == "learn" and not args.target:
-            if not args.endpoint:
+            if not getattr(args, "endpoint", None):
                 parser.error("need --target or --endpoint")
             if args.mode != "omit-zero":
                 parser.error(f"--endpoint learns in omit-zero mode only, not {args.mode}")
+            if "--symbol-map" not in given:
+                parser.error("--endpoint needs --symbol-map")
         if getattr(args, "strategy", "none") not in NO_STRATEGY and not args.guide:
             parser.error(f"--strategy {args.strategy} composes with a guide and needs --guide")
     except UsageError as exc:

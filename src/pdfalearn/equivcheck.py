@@ -167,7 +167,8 @@ def shortest_defined_ce_prefix(
     counterexample (labels differ at gamma, where an undefined model answer
     counts as the reserved zero class). The returned prefix is always
     defined in the model: a disagreement whose model answer is undefined is
-    preceded by a support disagreement one step earlier.
+    preceded by a support disagreement one step earlier. The model is asked
+    gamma, then each prefix up to the first disagreement: one cursor's fold.
     """
     gamma = tuple(gamma)
     q = hypothesis.initial
@@ -179,13 +180,16 @@ def shortest_defined_ce_prefix(
         hyp_dists.append(hypothesis.dists[q])
     if label_at(model, partitioner, gamma) == hyp_dists[-1].label(partitioner):
         raise NotACounterexampleError("string does not distinguish model and hypothesis")
+    cursor = model.start()
     for j, dist in enumerate(hyp_dists):
-        p = gamma[:j]
-        model_label = label_at(model, partitioner, p)
+        model_dist = None if cursor is None else model.dist(cursor)
+        model_label = ZERO_CLASS if model_dist is None else model_dist.label(partitioner)
         if model_label != dist.label(partitioner):
             if model_label is ZERO_CLASS:
                 raise NotACounterexampleError(
                     "first disagreement is model-undefined; supports were inconsistent earlier"
                 )
-            return p
+            return gamma[:j]
+        if j < len(gamma):
+            cursor = model.step(cursor, gamma[j])
     raise NotACounterexampleError("no disagreeing prefix found")

@@ -228,17 +228,20 @@ def _extension_key(memo, partitioner: Partitioner, mode: LearnerMode, v: String,
     supports step by step; a teacher that answers structurally on
     zero-probability paths must not smuggle phantom evidence into the tree.
     Baseline mode keys on the raw answer for v·w. The walk steps from `at`
-    through the trie and builds a string only to ask about it.
+    through the trie once and builds a string only to ask about it.
     """
-    node = at
-    for i, s in enumerate(w):
-        if mode is LearnerMode.OMIT_ZERO:
+    if mode is LearnerMode.OMIT_ZERO:
+        node = at
+        for i, s in enumerate(w):
             dist = node.value
             if dist is UNSET:
                 dist = memo.value(node, v + w[:i])
             if dist is None or s not in dist.support():
                 return ZERO_CLASS
-        node = node.child(s)
+            child = node.get(s)
+            node = node.child(s) if child is None else child
+    else:
+        node = at.find(w)
     dist = node.value
     if dist is UNSET:
         dist = memo.value(node, v + w)

@@ -56,6 +56,19 @@ def test_walk_rejects_unknown_symbols(loop_pdfa):
         walk(loop_pdfa, (7,))
 
 
+@pytest.mark.parametrize("u", [(1, 7), (1, 0, -1), (1, 2, 0)])
+def test_unknown_symbol_after_a_missing_transition_raises(ab_alphabet, u):
+    """The walk dies at the missing `b` transition; the symbol after it is still checked."""
+    partial = Pdfa(ab_alphabet, (Distribution.from_map(ab_alphabet, {"a": 0.5, "$": 0.5}),), ((0, None),))
+    for ask in (lambda u: walk(partial, u), lambda u: next_dist(partial, u),
+                exact_teacher(partial, EXACT).mq, filter_teacher(partial, EXACT).mq):
+        with pytest.raises(UnknownSymbolError):
+            ask(u)
+    assert walk(partial, (1, 0)) is None
+    assert exact_teacher(partial, EXACT).mq((1, 0)) is None
+    assert filter_teacher(partial, EXACT).mq((1, 0)) is None
+
+
 @pytest.mark.parametrize("u", [(5,), (-1,), (1, 2), (0, 0, -3), (0, 1, 5)])
 def test_support_views_reject_unknown_symbols_like_walk(loop_pdfa, ab_alphabet, u):
     # the support-following views used to report these strings as undefined,

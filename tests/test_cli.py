@@ -248,6 +248,15 @@ USAGE_FAULTS = {  # argv, and what the error's detail names
     ),
     "compare-strategy-without-guide": (["compare", "--target", "TARGET", "--strategy", "topk:1"], "--guide"),
     "learn-strategy-without-guide": (["learn", "--target", "TARGET", "--strategy", "topk:1"], "--guide"),
+    "learn-endpoint-without-symbol-map": (["learn", "--endpoint", "http://127.0.0.1:9"], "--symbol-map"),
+    # `learn --target` refuses the flags only `--endpoint` reads, even at their default values
+    "learn-target-endpoint": (["learn", "--target", "TARGET", "--endpoint", "http://127.0.0.1:9"], "--endpoint"),
+    "learn-target-symbol-map": (["learn", "--target", "TARGET", "--symbol-map", "MAP"], "--symbol-map"),
+    "learn-target-epsilon": (["learn", "--target", "TARGET", "--epsilon", "0.05"], "--epsilon"),
+    "learn-target-delta": (["learn", "--target", "TARGET", "--delta", "0.05"], "--delta"),
+    "learn-target-max-len": (["learn", "--target", "TARGET", "--max-len", "50"], "--max-len"),
+    "learn-target-bos": (["learn", "--bos", "0", "--target", "TARGET"], "--bos"),
+    "learn-target-eos": (["learn", "--target", "TARGET", "--eos=1"], "--eos"),
 }
 
 
