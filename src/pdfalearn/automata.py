@@ -201,20 +201,22 @@ UNSET = object()  # value of a trie node whose string has not been evaluated
 
 
 class Prefix(dict):
-    """A trie node: maps each symbol to a child; `value` is UNSET until its string is evaluated."""
+    """A trie node: maps each symbol to a child. `string`, set when the node is made, is the
+    root's string and the path's symbols; `value` is UNSET until that string is evaluated."""
 
-    __slots__ = ("value",)
+    __slots__ = ("string", "value")
     # a node is one prefix: it compares and hashes by identity, so it can be in a cursor
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self):
+    def __init__(self, string: String = EMPTY):
+        self.string = string
         self.value = UNSET
 
     def child(self, s) -> "Prefix":
         node = self.get(s)
         if node is None:
-            node = self[s] = Prefix()
+            node = self[s] = Prefix(self.string + (s,))
         return node
 
     def find(self, u) -> "Prefix":
@@ -222,7 +224,7 @@ class Prefix(dict):
         for s in u:  # child(s), inlined: every memo lookup walks this loop
             nxt = node.get(s)
             if nxt is None:
-                nxt = node[s] = Prefix()
+                nxt = node[s] = Prefix(node.string + (s,))
             node = nxt
         return node
 
@@ -233,7 +235,7 @@ class MemoModel(LanguageModel):
     Answers live on the trie at `root`: a caller walking it reads
     `node.value` and calls `value` only where that is UNSET. A string whose
     answer raised stays UNSET. `misses` counts the calls to `answer`.
-    A cursor is (trie node, its string): `step` asks nothing and is None where s leaves
+    A cursor is the trie node: `step` asks nothing and is None where s leaves
     the support of an answer already read. `next(u)` asks u whatever its prefixes' answers.
     """
 
@@ -243,28 +245,25 @@ class MemoModel(LanguageModel):
         self.root = Prefix()
         self.misses = 0
 
-    def value(self, node: Prefix, u: String) -> Optional[Distribution]:
-        """The answer for u, whose trie node is `node`."""
+    def value(self, node: Prefix) -> Optional[Distribution]:
+        """The answer for the node's string."""
         if node.value is UNSET:
             self.misses += 1
-            node.value = self.answer(u)
+            node.value = self.answer(node.string)
         return node.value
 
     def next(self, u: String) -> Optional[Distribution]:
-        u = tuple(u)
-        return self.value(self.root.find(u), u)
+        return self.value(self.root.find(u))
 
-    def start(self) -> tuple[Prefix, String]:
-        return self.root, EMPTY
+    def start(self) -> Prefix:
+        return self.root
 
-    def step(self, cursor: tuple[Prefix, String], s: int) -> Optional[tuple[Prefix, String]]:
-        node, u = cursor
+    def step(self, node: Prefix, s: int) -> Optional[Prefix]:
         if node.value is None or (node.value is not UNSET and s not in node.value.support()):
             return None
-        return node.child(s), u + (s,)
+        return node.child(s)
 
-    def dist(self, cursor: tuple[Prefix, String]) -> Optional[Distribution]:
-        return self.value(*cursor)
+    dist = value
 
 
 class PdfaLanguageModel(LanguageModel):

@@ -43,9 +43,9 @@ class LearnerConfig:
 
 
 class _Leaf:
-    """An access string's class.
+    """An access string's class; `node` is the string's node in the memo's trie.
 
-    `sifted` lists the strings whose last sift ended here. `row` holds the
+    `sifted` lists the trie nodes whose last sift ended here. `row` holds the
     hypothesis transitions out of a defined leaf once `build` has computed
     them: per symbol the target leaf, None outside the scope, or the inner
     node that replaced a target split since, where that sift resumes.
@@ -53,16 +53,20 @@ class _Leaf:
     created; an undefined leaf has none.
     """
 
-    __slots__ = ("string", "dist", "parent", "depth", "sifted", "row", "index")
+    __slots__ = ("node", "dist", "parent", "depth", "sifted", "row", "index")
 
-    def __init__(self, string: String, dist: Optional[Distribution], parent, depth: int):
-        self.string = string
+    def __init__(self, node: Prefix, dist: Optional[Distribution], parent, depth: int):
+        self.node = node
         self.dist = dist
         self.parent = parent
         self.depth = depth
-        self.sifted: list[String] = []
+        self.sifted: list[Prefix] = []
         self.row: Optional[list] = None
         self.index: Optional[int] = None
+
+    @property
+    def string(self) -> String:
+        return self.node.string
 
 
 class _Inner:
@@ -84,7 +88,8 @@ class ClassificationTree:
     The tree changes in two ways only: an arc is added to an inner node, or
     a leaf is replaced by an inner node (`split`). Neither changes the path
     above an existing node, so a string once sifted resumes where its last
-    sift ended, or at the inner node that replaced that leaf.
+    sift ended, or at the inner node that replaced that leaf: `resume` is
+    keyed by the string's trie node.
 
     Defined leaves are hypothesis states numbered in creation order:
     `states[q]` is state q's leaf and `access[q]` its access string. Both
@@ -97,28 +102,28 @@ class ClassificationTree:
         self.leaves: dict[String, _Leaf] = {}
         self.states: list[_Leaf] = []
         self.access: list[String] = []
-        self.resume: dict[String, object] = {}
+        self.resume: dict[Prefix, object] = {}
         self.redirected: dict[_Leaf, set[int]] = {}  # row symbols split since `build`
         self.hypothesis: Optional[Pdfa] = None  # what the last `build` returned
         self._depth = 0
 
-    def add_leaf(self, parent: _Inner, key: ClassId, string: String, dist) -> _Leaf:
+    def add_leaf(self, parent: _Inner, key: ClassId, node: Prefix, dist) -> _Leaf:
         if key in parent.arcs:
             raise ValueError("arc key already present")
-        leaf = _Leaf(string, dist, parent, parent.depth + 1)
+        leaf = _Leaf(node, dist, parent, parent.depth + 1)
         parent.arcs[key] = leaf
-        self.leaves[string] = leaf
+        self.leaves[node.string] = leaf
         if dist is not None:
             leaf.index = len(self.states)
             self.states.append(leaf)
-            self.access.append(string)
+            self.access.append(node.string)
         self._depth = max(self._depth, leaf.depth)
         return leaf
 
     def split(
-        self, leaf: _Leaf, dis: String, key_old: ClassId, string: String, key_new: ClassId, dist
+        self, leaf: _Leaf, dis: String, key_old: ClassId, node: Prefix, key_new: ClassId, dist
     ) -> _Leaf:
-        """Replace `leaf` by an inner node `dis` over it and a new leaf for `string`.
+        """Replace `leaf` by an inner node `dis` over it and a new leaf for `node`'s string.
 
         Strings whose sift ended at `leaf` now resume at the new inner node,
         and so do the transitions that targeted it.
@@ -130,9 +135,10 @@ class ClassificationTree:
         leaf.parent = inner
         leaf.depth += 1
         inner.arcs[key_old] = leaf
-        new_leaf = self.add_leaf(inner, key_new, string, dist)
-        for v in leaf.sifted:
-            self.resume[v] = inner
+        new_leaf = self.add_leaf(inner, key_new, node, dist)
+        for at in leaf.sifted:
+            self.resume[at] = inner
+            v = at.string
             source = self.leaves.get(v[:-1]) if v else None
             if source is not None and source.row is not None and source.row[v[-1]] is leaf:
                 source.row[v[-1]] = inner
@@ -140,11 +146,11 @@ class ClassificationTree:
         leaf.sifted = []
         return new_leaf
 
-    def record(self, v: String, leaf: _Leaf) -> None:
-        """Note that the sift of v ended at `leaf`."""
-        if self.resume.get(v) is not leaf:
-            self.resume[v] = leaf
-            leaf.sifted.append(v)
+    def record(self, at: Prefix, leaf: _Leaf) -> None:
+        """Note that the sift of at's string ended at `leaf`."""
+        if self.resume.get(at) is not leaf:
+            self.resume[at] = leaf
+            leaf.sifted.append(at)
 
     def depth(self) -> int:
         """Length of the longest root-to-leaf path, kept up to date on insertion."""
@@ -220,7 +226,7 @@ def _label(partitioner: Partitioner, dist: Optional[Distribution]) -> ClassId:
     return ZERO_CLASS if dist is None else dist.label(partitioner)
 
 
-def _extension_key(memo, partitioner: Partitioner, mode: LearnerMode, v: String, w: String, at) -> ClassId:
+def _extension_key(memo, partitioner: Partitioner, mode: LearnerMode, at: Prefix, w: String) -> ClassId:
     """Arc key for the extension v·w, where `at` is v's node in the memo's trie.
 
     The congruence assigns every undefined string to the reserved zero
@@ -228,14 +234,14 @@ def _extension_key(memo, partitioner: Partitioner, mode: LearnerMode, v: String,
     supports step by step; a teacher that answers structurally on
     zero-probability paths must not smuggle phantom evidence into the tree.
     Baseline mode keys on the raw answer for v·w. The walk steps from `at`
-    through the trie once and builds a string only to ask about it.
+    through the trie once; each node it asks about carries its string.
     """
     if mode is LearnerMode.OMIT_ZERO:
         node = at
-        for i, s in enumerate(w):
+        for s in w:
             dist = node.value
             if dist is UNSET:
-                dist = memo.value(node, v + w[:i])
+                dist = memo.value(node)
             if dist is None or s not in dist.support():
                 return ZERO_CLASS
             child = node.get(s)
@@ -244,47 +250,43 @@ def _extension_key(memo, partitioner: Partitioner, mode: LearnerMode, v: String,
         node = at.find(w)
     dist = node.value
     if dist is UNSET:
-        dist = memo.value(node, v + w)
+        dist = memo.value(node)
     return _label(partitioner, dist)
 
 
 def sift(
     tree: ClassificationTree,
     memo: MemoModel,
-    v: String,
+    at: Prefix,
     mode: LearnerMode = LearnerMode.OMIT_ZERO,
     monitor: Optional[LearnerMonitor] = None,
-    at: Optional[Prefix] = None,
 ) -> tuple[_Leaf, bool]:
-    """Classify v to a leaf, adding one when its class is new.
+    """Classify the string of `at`, its memo trie node, to a leaf, adding one when its class is new.
 
-    Returns (leaf, grew). The walk starts where v's last sift ended (the
-    leaf itself, or the inner node that split it) and at the root only for
-    a string never sifted: the nodes above that point have not changed, so
-    walking them again would repeat cached queries. The tree's degree may
-    grow; its depth never does. `at` is v's node in the memo's trie, for
-    a caller that holds it.
+    Returns (leaf, grew). The walk starts where the string's last sift ended
+    (the leaf itself, or the inner node that split it) and at the root only
+    for a string never sifted: the nodes above that point have not changed,
+    so walking them again would repeat cached queries. The tree's degree may
+    grow; its depth never does.
     """
     depth_before = tree.depth() if monitor else 0
-    node = tree.resume.get(v, tree.root)
-    if at is None and isinstance(node, _Inner):
-        at = memo.root.find(v)
+    node = tree.resume.get(at, tree.root)
     while isinstance(node, _Inner):
-        key = _extension_key(memo, tree.partitioner, mode, v, node.string, at)
+        key = _extension_key(memo, tree.partitioner, mode, at, node.string)
         if key is ZERO_CLASS and node is tree.root and mode is LearnerMode.OMIT_ZERO:
             raise TeacherUndefinedError(
-                f"access-string candidate {v!r} reported undefined; tree invariant broken"
+                f"access-string candidate {at.string!r} reported undefined; tree invariant broken"
             )
         child = node.arcs.get(key)
         if child is None:
-            leaf = tree.add_leaf(node, key, v, memo.value(at, v))
-            tree.record(v, leaf)
+            leaf = tree.add_leaf(node, key, at, memo.value(at))
+            tree.record(at, leaf)
             if monitor:
                 monitor.sift_depth(depth_before, tree.depth())
                 monitor.tree_changed(tree, mode)
             return leaf, True
         node = child
-    tree.record(v, node)
+    tree.record(at, node)
     if monitor:
         monitor.sift_depth(depth_before, tree.depth())
     return node, False
@@ -334,11 +336,11 @@ def build(
             scope = sorted(leaf.dist.support()) if mode is LearnerMode.OMIT_ZERO else range(m)
         else:
             scope = sorted(tree.redirected.pop(leaf, ()))
-        at = memo.root.find(leaf.string) if scope else None
+        at = leaf.node
         if fresh and prefetch is not None and scope:
-            prefetch(leaf.string, [s for s in scope if at.child(s).value is UNSET])
+            prefetch(at.string, [s for s in scope if at.child(s).value is UNSET])
         for s in scope:
-            target, grew = sift(tree, memo, leaf.string + (s,), mode, monitor, at.child(s))
+            target, grew = sift(tree, memo, at.child(s), mode, monitor)
             leaf.row[s] = target
             if grew and target.dist is not None:
                 insort(work, target, key=_order)
@@ -367,14 +369,15 @@ def initialize_tree(
     if mode is LearnerMode.OMIT_ZERO:
         gamma = shortest_defined_ce_prefix(memo, hypothesis, partitioner, gamma)
     tree = ClassificationTree(partitioner)
-    lambda_dist = memo.next(())
-    gamma_dist = memo.next(gamma)
+    at = memo.root.find(gamma)
+    lambda_dist = memo.value(memo.root)
+    gamma_dist = memo.value(at)
     key_l = _label(partitioner, lambda_dist)
     key_g = _label(partitioner, gamma_dist)
     if key_l == key_g:
         raise NotACounterexampleError("counterexample agrees with the empty string's class")
-    tree.add_leaf(tree.root, key_l, (), lambda_dist)
-    tree.add_leaf(tree.root, key_g, gamma, gamma_dist)
+    tree.add_leaf(tree.root, key_l, memo.root, lambda_dist)
+    tree.add_leaf(tree.root, key_g, at, gamma_dist)
     if monitor:
         monitor.tree_changed(tree, mode)
     return tree
@@ -406,35 +409,31 @@ def update(
     prev_leaf = tree.leaves[()]
     state = hypothesis.initial
     at = memo.root
-    for i in range(1, len(gamma) + 1):
-        at = at.child(gamma[i - 1])
-        leaf_i, grew = sift(tree, memo, gamma[:i], mode, monitor, at)
+    for s in gamma:
+        before, at = at, at.child(s)
+        leaf_i, grew = sift(tree, memo, at, mode, monitor)
         if grew:
             if len(tree.leaves) != n_before + 1:
                 raise AssertionError("sift added more than one leaf")
             return
-        state = hypothesis.trans[state][gamma[i - 1]]
+        state = hypothesis.trans[state][s]
         if state is None:
             raise NotACounterexampleError("counterexample walks off the hypothesis")
         if leaf_i.string != access[state]:
-            j = i
-            u_j, uprime_j = leaf_i.string, access[state]
             break
         prev_leaf = leaf_i
     else:
         raise NotACounterexampleError("tree and hypothesis agree on every prefix")
 
-    w = tree.lca(u_j, uprime_j)
-    new_dis = (gamma[j - 1],) + w.string
-    new_string = gamma[: j - 1]
-    if new_string in tree.leaves:
+    w = tree.lca(leaf_i.string, access[state])
+    new_dis = (s,) + w.string
+    if before.string in tree.leaves:
         raise NotACounterexampleError("divergence point is already an access string")
-    find = memo.root.find
-    key_old = _extension_key(memo, partitioner, mode, prev_leaf.string, new_dis, find(prev_leaf.string))
-    key_new = _extension_key(memo, partitioner, mode, new_string, new_dis, find(new_string))
+    key_old = _extension_key(memo, partitioner, mode, prev_leaf.node, new_dis)
+    key_new = _extension_key(memo, partitioner, mode, before, new_dis)
     if key_old == key_new:
         raise NotACounterexampleError("new distinguishing string fails to separate the leaves")
-    tree.split(prev_leaf, new_dis, key_old, new_string, key_new, memo.next(new_string))
+    tree.split(prev_leaf, new_dis, key_old, before, key_new, memo.value(before))
     if monitor:
         monitor.tree_changed(tree, mode)
 

@@ -193,23 +193,7 @@ def save_symbol_map(smap: SymbolMap, path):
 # Symbol-level view of a token model
 # ---------------------------------------------------------------------------
 
-class _Context(Prefix):
-    """A node on the trie of token contexts; `tokens` is its context, BOS first."""
-
-    __slots__ = ("tokens",)
-
-    def __init__(self, tokens: tuple[int, ...]):
-        super().__init__()
-        self.tokens = tokens
-
-    def child(self, t: int) -> "_Context":
-        node = self.get(t)
-        if node is None:
-            node = self[t] = _Context(self.tokens + (t,))
-        return node
-
-
-def _advance(tokens: tuple[int, ...], k: int, node: _Context, mass: float, ask=None):
+def _advance(tokens: tuple[int, ...], k: int, node: Prefix, mass: float, ask=None):
     """Multiply the step probabilities of tokens[k:], from node on, into
     mass. Returns (k, node, mass) once the mass is zero or every token is
     multiplied, node then being the last token's context; without `ask`,
@@ -219,7 +203,7 @@ def _advance(tokens: tuple[int, ...], k: int, node: _Context, mass: float, ask=N
         if probs is UNSET:
             if ask is None:
                 return k, node, mass
-            probs = node.value = ask(node.tokens)
+            probs = node.value = ask(node.string)
         mass *= probs.get(tokens[k], 0.0)
         k += 1
         if mass <= 0 or k == len(tokens):
@@ -230,12 +214,13 @@ def _advance(tokens: tuple[int, ...], k: int, node: _Context, mass: float, ask=N
 class SymbolLanguageModel(LanguageModel):
     """Language model over symbols whose probabilities are token products.
 
-    The cursor is a node on a trie of token contexts, which keeps its
-    context and, once asked, the token model's next-token map there, so
-    each context is asked once. step(c, s) follows s's tokens and is None
-    once their step probabilities multiply to zero. dist(c)(s) multiplies
-    the step probabilities along s's tokens, the terminal takes EOS's, and
-    the masses are renormalized; dist is None when they all vanish.
+    The cursor is a node on a trie of token contexts, rooted at (BOS,): its
+    string is its context and its value, once asked, the token model's
+    next-token map there, so each context is asked once. step(c, s) follows
+    s's tokens and is None once their step probabilities multiply to zero.
+    dist(c)(s) multiplies the step probabilities along s's tokens, the
+    terminal takes EOS's, and the masses are renormalized; dist is None
+    when they all vanish.
 
     `step` and `dists` multiply their products through one walk,
     `_advance`. `step` asks each context on its way by itself; `dists`
@@ -256,12 +241,12 @@ class SymbolLanguageModel(LanguageModel):
                 raise VocabMismatchError(f"tokens {sorted(missing)} not in the model vocabulary")
         # EOS's weight is the one-token product (EOS,)
         self._products = [*self.sequences, (tm.eos,)]
-        self._root = _Context((tm.bos,))
+        self._root = Prefix((tm.bos,))
 
-    def start(self) -> _Context:
+    def start(self) -> Prefix:
         return self._root
 
-    def step(self, node: _Context, s: int) -> Optional[_Context]:
+    def step(self, node: Prefix, s: int) -> Optional[Prefix]:
         tokens = self.sequences[s]
         _, node, mass = _advance(tokens, 0, node, 1.0, self.tm.next_tokens)
         return node.child(tokens[-1]) if mass > 0 else None
@@ -284,7 +269,7 @@ class SymbolLanguageModel(LanguageModel):
                     waiting.append((i, j, k, node, mass))
             if waiting:
                 nodes = list(dict.fromkeys(walk[3] for walk in waiting))
-                for node, probs in zip(nodes, self.tm.next_tokens_many([n.tokens for n in nodes]), strict=True):
+                for node, probs in zip(nodes, self.tm.next_tokens_many([n.string for n in nodes]), strict=True):
                     node.value = probs
             walks = waiting
         out = []
@@ -293,7 +278,7 @@ class SymbolLanguageModel(LanguageModel):
             out.append(Distribution(self.alphabet, tuple(w / total for w in row)) if total > 0 else None)
         return out
 
-    def dist(self, node: _Context) -> Optional[Distribution]:
+    def dist(self, node: Prefix) -> Optional[Distribution]:
         return self.dists((node,))[0]
 
 

@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .automata import UNSET, LanguageModel, MemoModel, Pdfa, is_defined, next_dist
+from .automata import UNSET, LanguageModel, MemoModel, Pdfa, Prefix, is_defined, next_dist
 from .equivcheck import Counterexample, PairSearch, _conflict_kind
 from .errors import ModelFailureError, NotACounterexampleError, PdfaError, TransportError
 from .simplex import Distribution, Partitioner, ZERO_CLASS
@@ -120,7 +120,8 @@ class PacTeacher(Teacher):
     disagreement with the model yields a valid counterexample directly.
     The model is asked once per distinct string, through a memo shared by
     membership and equivalence queries; `prefetch` asks a built row's
-    strings together.
+    strings together. A model undefined at u·s, where its answer for u
+    allows s, has died: reading that answer raises ModelFailureError.
     """
 
     def __init__(self, model: LanguageModel, partitioner: Partitioner, params: PacParams, seed=0):
@@ -144,23 +145,36 @@ class PacTeacher(Teacher):
 
     def mq(self, u) -> Optional[Distribution]:
         self.mq_count += 1
-        return self._memo.next(u)
+        u = tuple(u)
+        if not u:
+            return self._memo.value(self._memo.root)
+        return self._child(self._memo.root.find(u[:-1]), u[-1]).value
+
+    def _child(self, node: Prefix, s: int) -> Prefix:
+        """node's child on s, with its answer read: None there, where node's
+        answer has s in its support, is the model dying on s."""
+        child = node.child(s)
+        dist = child.value
+        if dist is UNSET:
+            dist = self._memo.value(child)
+        if dist is None and isinstance(node.value, Distribution) and s in node.value.support():
+            raise ModelFailureError(child.string, f"model undefined after symbol {s}, which its support allows")
+        return child
 
     def prefetch(self, prefix, symbols) -> None:
         """Ask the model about the strings prefix·s the memo lacks in one
         `next_many` call. It counts them as misses, as `mq` would; if the
         call fails, nothing is kept and `mq` asks them one at a time."""
-        prefix = tuple(prefix)
         node = self._memo.root.find(prefix)
-        todo = [s for s in symbols if node.child(s).value is UNSET]
+        todo = [child for child in map(node.child, symbols) if child.value is UNSET]
         if not todo:
             return
         try:
-            answers = self.model.next_many([prefix + (s,) for s in todo])
+            answers = self.model.next_many([child.string for child in todo])
         except (TransportError, PdfaError):
             return
-        for s, dist in zip(todo, answers):
-            node[s].value = dist
+        for child, dist in zip(todo, answers):
+            child.value = dist
         self._memo.misses += len(todo)
 
     def _walk(self, hypothesis: Pdfa) -> tuple:
@@ -185,10 +199,9 @@ class PacTeacher(Teacher):
             # the sample follows the hypothesis' supports, so its state is
             # defined at every prefix
             node, q = self._memo.root, hypothesis.initial
-            for j in range(len(u) + 1):
+            self._memo.value(node)
+            for s in [*u, None]:
                 dist = node.value
-                if dist is UNSET:
-                    dist = self._memo.value(node, u[:j])
                 model_label = ZERO_CLASS if dist is None else dist.label(partitioner)
                 if model_label != hypothesis.dists[q].label(partitioner):
                     # the first disagreeing prefix of the sample, and so the shortest
@@ -197,9 +210,9 @@ class PacTeacher(Teacher):
                             "first disagreement is model-undefined; supports were inconsistent earlier"
                         )
                     kind = _conflict_kind(dist, hypothesis.dists[q])
-                    return self._record_ce(hypothesis, Counterexample(u[:j], kind))
-                if j < len(u):
-                    node, q = node.child(u[j]), hypothesis.trans[q][u[j]]
+                    return self._record_ce(hypothesis, Counterexample(node.string, kind))
+                if s is not None:
+                    node, q = self._child(node, s), hypothesis.trans[q][s]
         return None
 
 

@@ -192,6 +192,30 @@ def test_learn_from_endpoint_through_a_guide(tmp_path, capsys):
     assert (int(row[6]), int(row[7])) == (teacher.mq_count, teacher.eq_count)
 
 
+def test_learn_from_endpoint_through_a_guide_that_dies_is_a_model_failure(tmp_path, capsys):
+    """After `a`, which the composition's first distribution allows, the
+    guide allows nothing: the served model composed with it dies there."""
+    from pdfalearn.automata import GuideAutomaton, Pdfa
+    from pdfalearn.lmbridge import SymbolMap, TokenModelServer, pdfa_token_model, save_symbol_map
+    from pdfalearn.simplex import Alphabet, Distribution
+
+    ab = Alphabet(("a", "b"))
+    tokens = Pdfa(ab, (Distribution.from_map(ab, {"a": 0.5, "b": 0.3, "$": 0.2}),), ((0, 0),))
+    guide = GuideAutomaton(ab, ((1, 1, 1), (0, 0, 0)), ((1, 0), (1, 1)))
+    smap_path, guide_path = tmp_path / "map.tsv", tmp_path / "g.guide"
+    save_symbol_map(SymbolMap((("a", "a", (2,)), ("b", "b", (3,)))), smap_path)
+    save_guide(guide, guide_path)
+    with TokenModelServer(pdfa_token_model(tokens)) as server:
+        rc = main(
+            ["learn", "--endpoint", server.url, "--symbol-map", str(smap_path), "--guide", str(guide_path),
+             "--equiv", "quant:10", "--seed", "1", "--max-len", "10"]
+        )
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ModelFailureError"
+    assert "(0,)" in err["detail"]
+
+
 def test_log_level_env_var(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PDFA_LOG", "DEBUG")
     rc = main(["generate", "--n", "3", "--m", "2", "--theta", "0.0", "--seed", "1"])

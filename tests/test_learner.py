@@ -79,29 +79,30 @@ def seeded_tree(loop_pdfa, ab_alphabet):
 
 def test_sift_root_leaf(seeded_tree):
     tree, mq = seeded_tree
-    leaf, grew = sift(tree, mq, ())
+    leaf, grew = sift(tree, mq, mq.root)
     assert leaf.string == () and not grew
 
 
 def test_sift_reaches_existing_class(seeded_tree, ab_alphabet):
     tree, mq = seeded_tree
-    leaf, grew = sift(tree, mq, ab_alphabet.string("ba"))
+    leaf, grew = sift(tree, mq, mq.root.find(ab_alphabet.string("ba")))
     assert leaf.string == ab_alphabet.string("b") and not grew
 
 
 def test_sift_update_adds_fresh_class(seeded_tree, ab_alphabet):
     tree, mq = seeded_tree
-    leaf, grew = sift(tree, mq, ab_alphabet.string("a"))
+    leaf, grew = sift(tree, mq, mq.root.find(ab_alphabet.string("a")))
     assert grew and leaf.string == ab_alphabet.string("a")
     assert len(tree.leaves) == 3
-    again, grew2 = sift(tree, mq, ab_alphabet.string("a"))
+    again, grew2 = sift(tree, mq, mq.root.find(ab_alphabet.string("a")))
     assert not grew2 and again is leaf
 
 
 def test_sift_rejects_undefined_access_candidate(seeded_tree):
     tree, mq = seeded_tree
     with pytest.raises(TeacherUndefinedError):
-        sift(tree, MemoModel(mq.alphabet, lambda u: None), (0,), LearnerMode.OMIT_ZERO)
+        undefined = MemoModel(mq.alphabet, lambda u: None)
+        sift(tree, undefined, undefined.root.find((0,)), LearnerMode.OMIT_ZERO)
 
 
 # --- build ---
@@ -121,7 +122,7 @@ def test_build_undef_outside_support(merged_pair_pdfa):
     teacher = exact_teacher(merged_pair_pdfa, EXACT)
     mq = cached_mq(teacher)
     tree = ClassificationTree(EXACT)
-    tree.add_leaf(tree.root, EXACT.label(mq.next(())), (), mq.next(()))
+    tree.add_leaf(tree.root, EXACT.label(mq.next(())), mq.root, mq.next(()))
     hyp, _ = build(tree, mq, merged_pair_pdfa.alphabet, LearnerMode.OMIT_ZERO)
     assert hyp.n_states == 1
     assert hyp.trans[0] == (0, None)
@@ -131,7 +132,7 @@ def test_build_total_in_baseline_mode(loop_pdfa):
     teacher = exact_teacher(loop_pdfa, EXACT)
     mq = cached_mq(teacher)
     tree = ClassificationTree(EXACT)
-    tree.add_leaf(tree.root, EXACT.label(mq.next(())), (), mq.next(()))
+    tree.add_leaf(tree.root, EXACT.label(mq.next(())), mq.root, mq.next(()))
     hyp, _ = build(tree, mq, loop_pdfa.alphabet, LearnerMode.QNT_STANDARD)
     assert hyp.is_total()
 

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from pdfalearn.automata import LanguageModel, MemoModel, Pdfa, trim
+from pdfalearn.automata import LanguageModel, MemoModel, Pdfa, Prefix, trim
 from pdfalearn.equivcheck import hk_equiv, shortest_defined_ce_prefix
 from pdfalearn.errors import NotACounterexampleError, TeacherUndefinedError
 from pdfalearn.learner import (
@@ -472,9 +472,11 @@ def test_a_build_rewrites_only_new_and_redirected_rows(mode):
 
 def test_depth_is_kept_on_a_tree_deeper_than_the_recursion_limit():
     tree = ClassificationTree(EXACT)
-    deep = tree.add_leaf(tree.root, 0, (), None)
+    node = Prefix()
+    deep = tree.add_leaf(tree.root, 0, node, None)
     for k in range(2000):
-        tree.split(deep, (0,) * (k + 1), 0, (1,) * (k + 1), 1, None)
+        node = node.child(1)
+        tree.split(deep, (0,) * (k + 1), 0, node, 1, None)
     assert tree.depth() == deep.depth == 2001
     assert tree.lca((), (1,)).string == (0,)
     assert tree.lca((), (1,) * 2000).string == (0,) * 2000

@@ -45,7 +45,7 @@ KAPPA = QuantizationPartitioner(10)
 # --- oracles: the earlier walks, verbatim ---
 
 
-def _extension_key(memo, partitioner: Partitioner, mode: LearnerMode, v: String, w: String, at) -> ClassId:
+def _extension_key(memo, partitioner: Partitioner, mode: LearnerMode, at, w: String) -> ClassId:
     """Arc key for the extension v·w, where `at` is v's node in the memo's trie.
 
     The congruence assigns every undefined string to the reserved zero
@@ -60,13 +60,13 @@ def _extension_key(memo, partitioner: Partitioner, mode: LearnerMode, v: String,
         if mode is LearnerMode.OMIT_ZERO:
             dist = node.value
             if dist is UNSET:
-                dist = memo.value(node, v + w[:i])
+                dist = memo.value(node)
             if dist is None or s not in dist.support():
                 return ZERO_CLASS
         node = node.child(s)
     dist = node.value
     if dist is UNSET:
-        dist = memo.value(node, v + w)
+        dist = memo.value(node)
     return _label(partitioner, dist)
 
 

@@ -192,6 +192,48 @@ def test_find_walks_and_creates_children():
     assert node.value is UNSET and root.find(()) is root
 
 
+def test_nodes_made_by_child_and_by_find_carry_their_path():
+    root = Prefix()
+    node = root.find((1, 0, 1))
+    assert (root.string, node.string) == ((), (1, 0, 1))
+    assert root.child(1).string == (1,) and root.child(1).child(0).string == (1, 0)
+    assert root.child(0).string == (0,) and root.child(0).find((1, 1)).string == (0, 1, 1)
+    # a root with a string of its own prefixes it to every path
+    rooted = Prefix((7,))
+    assert rooted.find((2, 3)).string == (7, 2, 3) and rooted.child(2).string == (7, 2)
+
+
+def test_a_find_of_5000_symbols_keeps_its_string_without_recursion():
+    u = tuple(i % 3 for i in range(5000))
+    root = Prefix()
+    assert root.find(u).string == u
+    assert root.find(u[:2500]).string == u[:2500]
+
+
+def test_bridge_nodes_carry_bos_and_their_tokens():
+    class Bos5(ConstantTokens):
+        bos = 5
+
+    xy = Alphabet(("x", "y"))
+    lm = symbol_model(Bos5(), SymbolMap((("x", "x", (2,)), ("y", "y", (2, 2)))), xy)
+    root = lm.start()
+    end = lm.step(lm.step(root, 1), 0)
+    assert (root.string, end.string) == ((5,), (5, 2, 2, 2))
+    assert root.child(2).string == (5, 2)  # made inside y's two tokens
+
+
+def test_memo_asks_each_node_string_once():
+    dist = Distribution(AB, (0.5, 0.25, 0.25))
+    asked = []
+    memo = MemoModel(AB, lambda u: asked.append(u) or dist)
+    nodes = [memo.root.find(u) for u in ((), (0,), (0, 1), (1,))]
+    for node in nodes + nodes:
+        assert memo.value(node) is dist and memo.dist(node) is dist
+    assert memo.step(memo.step(memo.start(), 0), 1) is nodes[2]
+    assert memo.next((0, 1)) is dist and memo.next([1]) is dist
+    assert asked == [(), (0,), (0, 1), (1,)] and memo.misses == 4
+
+
 def test_memo_asks_once_per_string_and_keeps_no_failure():
     asked = []
 
@@ -327,7 +369,7 @@ def test_symbol_model_cursor_is_its_trie_node():
 
     end = fold((0,) * LONG)
     assert isinstance(end, Prefix) and fold((0,) * LONG) is end
-    assert end.tokens == (0,) + (2,) * LONG
+    assert end.string == (0,) + (2,) * LONG
 
 
 def test_next_many_folds_every_string_and_resolves_their_ends_in_one_call():

@@ -184,9 +184,9 @@ def test_pac_counterexample_kind_matches_hk_equiv(ab_alphabet, hyp_law, kind):
 
 def test_pac_refuses_a_first_disagreement_where_the_model_is_undefined(ab_alphabet):
     """λ agrees, but the model is undefined after `a`, which its λ support
-    allows: no defined prefix disagrees, so there is no counterexample."""
+    allows: the model died, which is no counterexample."""
     from pdfalearn.automata import LanguageModel
-    from pdfalearn.errors import NotACounterexampleError
+    from pdfalearn.errors import ModelFailureError
 
     law = Distribution.from_map(ab_alphabet, {"a": 0.5, "b": 0.0, "$": 0.5})
 
@@ -196,8 +196,9 @@ def test_pac_refuses_a_first_disagreement_where_the_model_is_undefined(ab_alphab
         def next(self, u):
             return None if u else law
 
-    with pytest.raises(NotACounterexampleError):
+    with pytest.raises(ModelFailureError) as err:
         pac_teacher(UndefinedAfterA(), EXACT, PacParams(max_len=10), seed=0).eq(Pdfa(ab_alphabet, (law,), ((0, 0),)))
+    assert err.value.prefix == (0,)
 
 
 def test_pac_seed_determinism(loop_pdfa):
