@@ -80,10 +80,11 @@ class _Inner:
 
 
 class ClassificationTree:
-    """Access strings at the leaves, distinguishing strings at inner nodes.
+    """One learning run: access strings at the leaves, distinguishing strings at inner nodes.
 
     Arcs out of an inner node w are keyed by the class of MQ(v·w); the
     reserved ZERO key groups strings whose extension by w is undefined.
+    The tree keeps the run's query memo, partitioner, mode and monitor.
 
     The tree changes in two ways only: an arc is added to an inner node, or
     a leaf is replaced by an inner node (`split`). Neither changes the path
@@ -92,16 +93,24 @@ class ClassificationTree:
     keyed by the string's trie node.
 
     Defined leaves are hypothesis states numbered in creation order:
-    `states[q]` is state q's leaf and `access[q]` its access string. Both
-    lists only grow, so an index keeps its meaning across rounds.
+    `states[q]` is state q's leaf. The list only grows, so an index keeps
+    its meaning across rounds.
     """
 
-    def __init__(self, partitioner: Partitioner):
+    def __init__(
+        self,
+        memo: MemoModel,
+        partitioner: Partitioner,
+        mode: LearnerMode = LearnerMode.OMIT_ZERO,
+        monitor: Optional["LearnerMonitor"] = None,
+    ):
+        self.memo = memo
         self.partitioner = partitioner
+        self.mode = mode
+        self.monitor = monitor
         self.root = _Inner((), None, 0)
         self.leaves: dict[String, _Leaf] = {}
         self.states: list[_Leaf] = []
-        self.access: list[String] = []
         self.resume: dict[Prefix, object] = {}
         self.redirected: dict[_Leaf, set[int]] = {}  # row symbols split since `build`
         self.hypothesis: Optional[Pdfa] = None  # what the last `build` returned
@@ -116,7 +125,6 @@ class ClassificationTree:
         if dist is not None:
             leaf.index = len(self.states)
             self.states.append(leaf)
-            self.access.append(node.string)
         self._depth = max(self._depth, leaf.depth)
         return leaf
 
@@ -156,13 +164,13 @@ class ClassificationTree:
         """Length of the longest root-to-leaf path, kept up to date on insertion."""
         return self._depth
 
-    def lca(self, u: String, v: String) -> _Inner:
+    def lca(self, a: _Leaf, b: _Leaf) -> _Inner:
         ancestors = set()
-        node = self.leaves[u]
+        node = a
         while node is not None:
             ancestors.add(id(node))
             node = node.parent
-        node = self.leaves[v]
+        node = b
         while node is not None:
             if id(node) in ancestors:
                 return node
@@ -254,13 +262,7 @@ def _extension_key(memo, partitioner: Partitioner, mode: LearnerMode, at: Prefix
     return _label(partitioner, dist)
 
 
-def sift(
-    tree: ClassificationTree,
-    memo: MemoModel,
-    at: Prefix,
-    mode: LearnerMode = LearnerMode.OMIT_ZERO,
-    monitor: Optional[LearnerMonitor] = None,
-) -> tuple[_Leaf, bool]:
+def sift(tree: ClassificationTree, at: Prefix) -> tuple[_Leaf, bool]:
     """Classify the string of `at`, its memo trie node, to a leaf, adding one when its class is new.
 
     Returns (leaf, grew). The walk starts where the string's last sift ended
@@ -269,6 +271,7 @@ def sift(
     so walking them again would repeat cached queries. The tree's degree may
     grow; its depth never does.
     """
+    memo, mode, monitor = tree.memo, tree.mode, tree.monitor
     depth_before = tree.depth() if monitor else 0
     node = tree.resume.get(at, tree.root)
     while isinstance(node, _Inner):
@@ -292,15 +295,8 @@ def sift(
     return node, False
 
 
-def build(
-    tree: ClassificationTree,
-    memo: MemoModel,
-    alphabet,
-    mode: LearnerMode = LearnerMode.OMIT_ZERO,
-    monitor: Optional[LearnerMonitor] = None,
-    prefetch: Optional[Callable[[String, list[int]], None]] = None,
-) -> tuple[Pdfa, list[String]]:
-    """Construct the hypothesis for the current tree.
+def build(tree: ClassificationTree, prefetch: Optional[Callable[[String, list[int]], None]] = None) -> Pdfa:
+    """Construct the hypothesis for the current tree, and keep it as `tree.hypothesis`.
 
     Transition targets come from sifting each (leaf, symbol) extension and
     stay in the leaves' rows across rounds. One pass in (length, string)
@@ -313,14 +309,14 @@ def build(
 
     State q is the leaf `tree.states[q]`, so the hypothesis is the previous
     one with the new leaves appended and the rows this pass wrote replaced;
-    no other row is touched. The access list returned is the tree's, which
-    later builds extend.
+    no other row is touched.
 
     Before it sifts a new leaf's row, build hands `prefetch` the row's
     symbols whose strings the memo lacks. Such a string was never sifted,
     so its sift starts at the root and asks it: a teacher may ask them
     together, and the queries and their order stay the same.
     """
+    alphabet = tree.memo.alphabet
     m = alphabet.size
     previous = tree.hypothesis
     built = 0 if previous is None else previous.n_states
@@ -333,14 +329,14 @@ def build(
         fresh = leaf.row is None
         if fresh:
             leaf.row = [None] * m
-            scope = sorted(leaf.dist.support()) if mode is LearnerMode.OMIT_ZERO else range(m)
+            scope = sorted(leaf.dist.support()) if tree.mode is LearnerMode.OMIT_ZERO else range(m)
         else:
             scope = sorted(tree.redirected.pop(leaf, ()))
         at = leaf.node
         if fresh and prefetch is not None and scope:
             prefetch(at.string, [s for s in scope if at.child(s).value is UNSET])
         for s in scope:
-            target, grew = sift(tree, memo, at.child(s), mode, monitor)
+            target, grew = sift(tree, at.child(s))
             leaf.row[s] = target
             if grew and target.dist is not None:
                 insort(work, target, key=_order)
@@ -353,7 +349,7 @@ def build(
     else:
         pdfa = previous.extended(dists, appended, rows)
     tree.hypothesis = pdfa
-    return pdfa, tree.access
+    return pdfa
 
 
 def initialize_tree(
@@ -364,35 +360,24 @@ def initialize_tree(
     mode: LearnerMode = LearnerMode.OMIT_ZERO,
     monitor: Optional[LearnerMonitor] = None,
 ) -> ClassificationTree:
-    """First tree: root λ with leaves λ and the (possibly reduced) counterexample."""
+    """The run's first tree: root λ over λ's leaf and the (possibly reduced) counterexample's.
+
+    `hypothesis`, which `gamma` refutes, serves only to reduce it; the
+    tree's own hypothesis comes from its first `build`.
+    """
     gamma = tuple(gamma)
     if mode is LearnerMode.OMIT_ZERO:
         gamma = shortest_defined_ce_prefix(memo, hypothesis, partitioner, gamma)
-    tree = ClassificationTree(partitioner)
-    at = memo.root.find(gamma)
+    tree = ClassificationTree(memo, partitioner, mode, monitor)
     lambda_dist = memo.value(memo.root)
-    gamma_dist = memo.value(at)
-    key_l = _label(partitioner, lambda_dist)
-    key_g = _label(partitioner, gamma_dist)
-    if key_l == key_g:
+    tree.add_leaf(tree.root, _label(partitioner, lambda_dist), memo.root, lambda_dist)
+    if not sift(tree, memo.root.find(gamma))[1]:
         raise NotACounterexampleError("counterexample agrees with the empty string's class")
-    tree.add_leaf(tree.root, key_l, memo.root, lambda_dist)
-    tree.add_leaf(tree.root, key_g, at, gamma_dist)
-    if monitor:
-        monitor.tree_changed(tree, mode)
     return tree
 
 
-def update(
-    tree: ClassificationTree,
-    memo: MemoModel,
-    hypothesis: Pdfa,
-    access: list[String],
-    gamma: String,
-    mode: LearnerMode = LearnerMode.OMIT_ZERO,
-    monitor: Optional[LearnerMonitor] = None,
-) -> None:
-    """Fold a counterexample into the tree; exactly one leaf is added.
+def update(tree: ClassificationTree, gamma: String) -> None:
+    """Fold a counterexample to `tree.hypothesis` into the tree; exactly one leaf is added.
 
     Either a sift during the analysis discovers a fresh class (the tree
     already grew, the stale counterexample is dropped), or the first index
@@ -401,8 +386,8 @@ def update(
     string sifted to that leaf, and every transition into it, to resume at
     the new inner node: the next `build` sifts exactly those transitions.
     """
+    memo, partitioner, mode, hypothesis = tree.memo, tree.partitioner, tree.mode, tree.hypothesis
     gamma = tuple(gamma)
-    partitioner = tree.partitioner
     if mode is LearnerMode.OMIT_ZERO:
         gamma = shortest_defined_ce_prefix(memo, hypothesis, partitioner, gamma)
     n_before = len(tree.leaves)
@@ -411,7 +396,7 @@ def update(
     at = memo.root
     for s in gamma:
         before, at = at, at.child(s)
-        leaf_i, grew = sift(tree, memo, at, mode, monitor)
+        leaf_i, grew = sift(tree, at)
         if grew:
             if len(tree.leaves) != n_before + 1:
                 raise AssertionError("sift added more than one leaf")
@@ -419,13 +404,13 @@ def update(
         state = hypothesis.trans[state][s]
         if state is None:
             raise NotACounterexampleError("counterexample walks off the hypothesis")
-        if leaf_i.string != access[state]:
+        if leaf_i is not tree.states[state]:
             break
         prev_leaf = leaf_i
     else:
         raise NotACounterexampleError("tree and hypothesis agree on every prefix")
 
-    w = tree.lca(leaf_i.string, access[state])
+    w = tree.lca(leaf_i, tree.states[state])
     new_dis = (s,) + w.string
     if before.string in tree.leaves:
         raise NotACounterexampleError("divergence point is already an access string")
@@ -434,8 +419,8 @@ def update(
     if key_old == key_new:
         raise NotACounterexampleError("new distinguishing string fails to separate the leaves")
     tree.split(prev_leaf, new_dis, key_old, before, key_new, memo.value(before))
-    if monitor:
-        monitor.tree_changed(tree, mode)
+    if tree.monitor:
+        tree.monitor.tree_changed(tree, mode)
 
 
 def _initial_hypothesis(alphabet, root_dist: Distribution, mode: LearnerMode) -> Pdfa:
@@ -484,7 +469,7 @@ def learn(teacher: Teacher, partitioner: Partitioner, config: Optional[LearnerCo
 
     prev_states = hypothesis.n_states
     for _ in range(MAX_ROUNDS):
-        hypothesis, access = build(tree, memo, teacher.alphabet, mode, monitor, prefetch)
+        hypothesis = build(tree, prefetch)
         if monitor:
             monitor.progress(prev_states, hypothesis.n_states)
         prev_states = hypothesis.n_states
@@ -495,6 +480,6 @@ def learn(teacher: Teacher, partitioner: Partitioner, config: Optional[LearnerCo
             return trim(hypothesis)
         if monitor:
             monitor.counterexample(hypothesis, ce.gamma, is_defined(hypothesis.language_model(), ce.gamma))
-        update(tree, memo, hypothesis, access, ce.gamma, mode, monitor)
+        update(tree, ce.gamma)
     raise QueryBudgetExceededError("iteration guard exhausted before convergence")
 

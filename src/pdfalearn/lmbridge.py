@@ -234,8 +234,11 @@ class SymbolLanguageModel(LanguageModel):
         self.tm = tm
         self.alphabet = alphabet
         self.sequences = smap.sequences_for(alphabet)
+        used = {t for seq in self.sequences for t in seq}
+        for name, token in (("BOS", tm.bos), ("EOS", tm.eos)):
+            if token in used:
+                raise VocabMismatchError(f"a symbol's tokens include the model's {name} token {token}")
         if tm.vocab is not None:
-            used = {t for seq in self.sequences for t in seq}
             missing = used - set(tm.vocab)
             if missing:
                 raise VocabMismatchError(f"tokens {sorted(missing)} not in the model vocabulary")

@@ -216,6 +216,24 @@ def test_learn_from_endpoint_through_a_guide_that_dies_is_a_model_failure(tmp_pa
     assert "(0,)" in err["detail"]
 
 
+def test_learn_from_endpoint_with_a_symbol_on_the_eos_token_is_a_vocab_mismatch(tmp_path, capsys):
+    """The map is at fault, not the served model: nothing is asked of it."""
+    from pdfalearn.automata import Pdfa
+    from pdfalearn.lmbridge import SymbolMap, TokenModelServer, pdfa_token_model, save_symbol_map
+    from pdfalearn.simplex import Alphabet, Distribution
+
+    ab = Alphabet(("x", "y"))
+    tokens = Pdfa(ab, (Distribution.from_map(ab, {"x": 0.5, "y": 0.3, "$": 0.2}),), ((0, 0),))
+    smap_path = tmp_path / "map.tsv"
+    save_symbol_map(SymbolMap((("x", "x", (2,)), ("y", "y", (1,)))), smap_path)
+    with TokenModelServer(pdfa_token_model(tokens)) as server:
+        rc = main(["learn", "--endpoint", server.url, "--symbol-map", str(smap_path), "--seed", "1"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "VocabMismatchError"
+    assert "EOS token 1" in err["detail"]
+
+
 def test_log_level_env_var(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PDFA_LOG", "DEBUG")
     rc = main(["generate", "--n", "3", "--m", "2", "--theta", "0.0", "--seed", "1"])

@@ -5,13 +5,14 @@ import pytest
 from pdfalearn.automata import (
     CongruenceMode,
     MemoModel,
+    Pdfa,
     congruence_partition,
     is_defined,
     isomorphic,
     quotient,
 )
 from pdfalearn.equivcheck import hk_equiv
-from pdfalearn.errors import QueryBudgetExceededError, TeacherUndefinedError
+from pdfalearn.errors import NotACounterexampleError, QueryBudgetExceededError, TeacherUndefinedError
 from pdfalearn.learner import (
     ClassificationTree,
     LearnerConfig,
@@ -25,7 +26,7 @@ from pdfalearn.learner import (
     update,
 )
 from pdfalearn.randgen import GenSpec, random_pdfa
-from pdfalearn.simplex import ExactPartitioner, QuantizationPartitioner
+from pdfalearn.simplex import Distribution, ExactPartitioner, QuantizationPartitioner
 from pdfalearn.teacher import PacParams, exact_teacher, filter_teacher, pac_teacher
 
 EXACT = ExactPartitioner()
@@ -66,6 +67,29 @@ def test_initialize_baseline_mode_keeps_gamma_unreduced(loop_pdfa, ab_alphabet):
     assert set(tree.leaves) == {(), gamma}
 
 
+@pytest.mark.parametrize("mode", [LearnerMode.OMIT_ZERO, LearnerMode.QNT_STANDARD])
+def test_initialize_rejects_a_counterexample_in_the_empty_strings_class(mode, ab_alphabet):
+    """`a` returns to the initial state; the hypothesis wrongly sends it elsewhere."""
+    start = Distribution.from_map(ab_alphabet, {"a": 0.5, "b": 0.25, "$": 0.25})
+    other = Distribution.from_map(ab_alphabet, {"a": 0.2, "b": 0.2, "$": 0.6})
+    target = Pdfa(ab_alphabet, (start, other), ((0, 1), (1, 1)))
+    hypothesis = Pdfa(ab_alphabet, (start, other), ((1, 1), (1, 1)))
+    mq = cached_mq(exact_teacher(target, EXACT))
+    with pytest.raises(NotACounterexampleError, match="empty string's class"):
+        initialize_tree(ab_alphabet.string("a"), mq, hypothesis, EXACT, mode)
+
+
+def test_initialize_baseline_mode_keeps_an_undefined_counterexample_stateless(loop_pdfa, ab_alphabet):
+    teacher = filter_teacher(loop_pdfa, EXACT)
+    mq = cached_mq(teacher)
+    hyp0 = _initial_hypothesis(loop_pdfa.alphabet, mq.next(()), LearnerMode.QNT_STANDARD)
+    gamma = ab_alphabet.string("ab")  # b has probability 0 after a
+    tree = initialize_tree(gamma, mq, hyp0, EXACT, LearnerMode.QNT_STANDARD)
+    leaf = tree.leaves[gamma]
+    assert leaf.dist is None and leaf.index is None
+    assert tree.states == [tree.leaves[()]]
+
+
 # --- sift ---
 
 @pytest.fixture
@@ -79,51 +103,51 @@ def seeded_tree(loop_pdfa, ab_alphabet):
 
 def test_sift_root_leaf(seeded_tree):
     tree, mq = seeded_tree
-    leaf, grew = sift(tree, mq, mq.root)
+    leaf, grew = sift(tree, mq.root)
     assert leaf.string == () and not grew
 
 
 def test_sift_reaches_existing_class(seeded_tree, ab_alphabet):
     tree, mq = seeded_tree
-    leaf, grew = sift(tree, mq, mq.root.find(ab_alphabet.string("ba")))
+    leaf, grew = sift(tree, mq.root.find(ab_alphabet.string("ba")))
     assert leaf.string == ab_alphabet.string("b") and not grew
 
 
 def test_sift_update_adds_fresh_class(seeded_tree, ab_alphabet):
     tree, mq = seeded_tree
-    leaf, grew = sift(tree, mq, mq.root.find(ab_alphabet.string("a")))
+    leaf, grew = sift(tree, mq.root.find(ab_alphabet.string("a")))
     assert grew and leaf.string == ab_alphabet.string("a")
     assert len(tree.leaves) == 3
-    again, grew2 = sift(tree, mq, mq.root.find(ab_alphabet.string("a")))
+    again, grew2 = sift(tree, mq.root.find(ab_alphabet.string("a")))
     assert not grew2 and again is leaf
 
 
-def test_sift_rejects_undefined_access_candidate(seeded_tree):
-    tree, mq = seeded_tree
+def test_sift_rejects_undefined_access_candidate(ab_alphabet):
+    undefined = MemoModel(ab_alphabet, lambda u: None)
+    tree = ClassificationTree(undefined, EXACT, LearnerMode.OMIT_ZERO)
     with pytest.raises(TeacherUndefinedError):
-        undefined = MemoModel(mq.alphabet, lambda u: None)
-        sift(tree, undefined, undefined.root.find((0,)), LearnerMode.OMIT_ZERO)
+        sift(tree, undefined.root.find((0,)))
 
 
 # --- build ---
 
 def test_build_reaches_fixed_point_with_sift_updates(seeded_tree, loop_pdfa):
     tree, mq = seeded_tree
-    hyp, access = build(tree, mq, loop_pdfa.alphabet, LearnerMode.OMIT_ZERO)
+    hyp = build(tree)
     # sifting (λ, a) discovers the third class, so the stable result has 3 states
     assert hyp.n_states == 3
     # the zero-omitting build leaves b undefined at the a-loop state, so
     # compare against the quotient, which follows the same transition rule
     assert isomorphic(hyp, quotient(loop_pdfa, EXACT))
-    assert access[hyp.initial] == ()
+    assert tree.states[hyp.initial].string == ()
 
 
 def test_build_undef_outside_support(merged_pair_pdfa):
     teacher = exact_teacher(merged_pair_pdfa, EXACT)
     mq = cached_mq(teacher)
-    tree = ClassificationTree(EXACT)
+    tree = ClassificationTree(mq, EXACT, LearnerMode.OMIT_ZERO)
     tree.add_leaf(tree.root, EXACT.label(mq.next(())), mq.root, mq.next(()))
-    hyp, _ = build(tree, mq, merged_pair_pdfa.alphabet, LearnerMode.OMIT_ZERO)
+    hyp = build(tree)
     assert hyp.n_states == 1
     assert hyp.trans[0] == (0, None)
 
@@ -131,9 +155,9 @@ def test_build_undef_outside_support(merged_pair_pdfa):
 def test_build_total_in_baseline_mode(loop_pdfa):
     teacher = exact_teacher(loop_pdfa, EXACT)
     mq = cached_mq(teacher)
-    tree = ClassificationTree(EXACT)
+    tree = ClassificationTree(mq, EXACT, LearnerMode.QNT_STANDARD)
     tree.add_leaf(tree.root, EXACT.label(mq.next(())), mq.root, mq.next(()))
-    hyp, _ = build(tree, mq, loop_pdfa.alphabet, LearnerMode.QNT_STANDARD)
+    hyp = build(tree)
     assert hyp.is_total()
 
 
@@ -144,11 +168,11 @@ def test_update_adds_exactly_one_leaf(loop_pdfa, loop_pdfa_top2, ab_alphabet):
     mq = cached_mq(teacher)
     hyp0 = _initial_hypothesis(loop_pdfa.alphabet, mq.next(()), LearnerMode.OMIT_ZERO)
     tree = initialize_tree(ab_alphabet.string("a"), mq, hyp0, EXACT, LearnerMode.OMIT_ZERO)
-    hyp, access = build(tree, mq, loop_pdfa.alphabet, LearnerMode.OMIT_ZERO)
+    hyp = build(tree)
     before = len(tree.leaves)
     ce = teacher.eq(hyp)
     if ce is not None:
-        update(tree, mq, hyp, access, ce.gamma, LearnerMode.OMIT_ZERO)
+        update(tree, ce.gamma)
         assert len(tree.leaves) == before + 1
 
 

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from pdfalearn.automata import LanguageModel, MemoModel, Pdfa, Prefix, trim
+from pdfalearn.automata import LanguageModel, MemoModel, Pdfa, trim
 from pdfalearn.equivcheck import hk_equiv, shortest_defined_ce_prefix
 from pdfalearn.errors import NotACounterexampleError, TeacherUndefinedError
 from pdfalearn.learner import (
@@ -291,8 +291,9 @@ class AccessSpy(LearnerMonitor):
         pass
 
     def progress(self, prev_states, new_states):
-        self.by_state.append(list(self.tree.access))
-        self.rounds.append(sorted(self.tree.access, key=_shortlex))
+        access = [leaf.string for leaf in self.tree.states]
+        self.by_state.append(access)
+        self.rounds.append(sorted(access, key=_shortlex))
 
 
 def _parts(pdfa):
@@ -394,15 +395,15 @@ def test_rebuilding_an_unchanged_tree_asks_nothing():
     hypothesis = _initial_hypothesis(target.alphabet, mq.next(()), LearnerMode.OMIT_ZERO)
     tree = initialize_tree(teacher.eq(hypothesis).gamma, mq, hypothesis, part)
     for _ in range(5):
-        hypothesis, access = build(tree, mq, target.alphabet)
+        hypothesis = build(tree)
         ce = teacher.eq(hypothesis)
         assert ce is not None
-        update(tree, mq, hypothesis, access, ce.gamma)
-    first, first_access = build(tree, mq, target.alphabet)
+        update(tree, ce.gamma)
+    first = build(tree)
     labels, mqs = part.calls, teacher.mq_count
-    again, again_access = build(tree, mq, target.alphabet)
+    again = build(tree)
     assert (part.calls, teacher.mq_count) == (labels, mqs)
-    assert _parts(again) == _parts(first) and again_access == first_access
+    assert _parts(again) == _parts(first)
 
 
 def scan_for_redirected_rows(tree):
@@ -430,12 +431,12 @@ def test_splits_record_exactly_the_rows_a_scan_finds(mode):
             continue
         tree = initialize_tree(ce.gamma, memo, hypothesis, KAPPA, learner_mode)
         while True:
-            hypothesis, access = build(tree, memo, target.alphabet, learner_mode)
+            hypothesis = build(tree)
             assert tree.redirected == {} == scan_for_redirected_rows(tree)
             ce = teacher.eq(hypothesis)
             if ce is None:
                 break
-            update(tree, memo, hypothesis, access, ce.gamma, learner_mode)
+            update(tree, ce.gamma)
             assert tree.redirected == scan_for_redirected_rows(tree)
             redirected += sum(map(len, tree.redirected.values()))
     assert redirected > 10
@@ -456,13 +457,12 @@ def test_a_build_rewrites_only_new_and_redirected_rows(mode):
         if ce is None:
             continue
         tree = initialize_tree(ce.gamma, memo, hypothesis, KAPPA, learner_mode)
-        previous, _ = build(tree, memo, target.alphabet, learner_mode)
+        previous = build(tree)
         while (ce := teacher.eq(previous)) is not None:
-            update(tree, memo, previous, tree.access, ce.gamma, learner_mode)
+            update(tree, ce.gamma)
             rewritten = {leaf.index for leaf in tree.redirected}
-            hypothesis, access = build(tree, memo, target.alphabet, learner_mode)
+            hypothesis = build(tree)
             n = previous.n_states
-            assert access[:n] == [leaf.string for leaf in tree.states[:n]]
             assert hypothesis.dists[:n] == previous.dists and hypothesis.initial == previous.initial
             assert {q for q in range(n) if hypothesis.trans[q] is not previous.trans[q]} == rewritten
             shared += n - len(rewritten)
@@ -471,12 +471,13 @@ def test_a_build_rewrites_only_new_and_redirected_rows(mode):
 
 
 def test_depth_is_kept_on_a_tree_deeper_than_the_recursion_limit():
-    tree = ClassificationTree(EXACT)
-    node = Prefix()
+    memo = MemoModel(Alphabet(("a", "b")), lambda u: None)
+    tree = ClassificationTree(memo, EXACT)
+    node = memo.root
     deep = tree.add_leaf(tree.root, 0, node, None)
     for k in range(2000):
         node = node.child(1)
         tree.split(deep, (0,) * (k + 1), 0, node, 1, None)
     assert tree.depth() == deep.depth == 2001
-    assert tree.lca((), (1,)).string == (0,)
-    assert tree.lca((), (1,) * 2000).string == (0,) * 2000
+    assert tree.lca(deep, tree.leaves[(1,)]).string == (0,)
+    assert tree.lca(deep, tree.leaves[(1,) * 2000]).string == (0,) * 2000

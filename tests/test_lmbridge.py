@@ -149,6 +149,15 @@ def test_vocab_mismatch_detected(token_target):
         symbol_model(tm, bad, token_target.alphabet)
 
 
+@pytest.mark.parametrize("name, token", [("BOS", 0), ("EOS", 1)])
+def test_a_symbol_may_not_use_the_bos_or_eos_token(token_target, name, token):
+    """Such a symbol's products would count the token's mass as the symbol's."""
+    tm = pdfa_token_model(token_target)
+    bad = SymbolMap((("a", "a", (2,)), ("b", "b", (token,))))
+    with pytest.raises(VocabMismatchError, match=f"{name} token {token}"):
+        symbol_model(tm, bad, token_target.alphabet)
+
+
 def test_symbol_map_round_trip(tmp_path):
     smap = SymbolMap((("x", "ex", (2, 3)), ("y", "why", (4,))))
     path = tmp_path / "map.tsv"
